@@ -5,7 +5,9 @@ One fixed load point consumed by both the opt-in benchmark gate
 (``tools/bench_report.py``), so the gate and the ``open_system`` section
 of ``BENCH_BATCH.json`` always measure the same run: decay serving a
 Poisson request stream at a stable offered load, on the vectorized
-open-schedule engine versus the scalar per-trial reference loop.
+open-schedule engine versus the scalar per-trial reference loop.  The
+example open sweeps (:func:`fused_open_sweeps`) are shared the same way
+for the stacked-sweep gate and the ``open_sweep_fused`` section.
 
 The point is sized like the closed-engine workloads - enough trials and
 rounds that per-round numpy dispatch amortizes and the scalar loop's
@@ -17,10 +19,13 @@ representative of steady state rather than a saturated queue.
 from __future__ import annotations
 
 from repro.scenarios import (
+    EXAMPLE_OPEN_RETRY_SWEEP,
+    EXAMPLE_OPEN_SWEEP,
     AdmissionSpec,
     ArrivalSpec,
     ChannelSpec,
     OpenScenarioSpec,
+    OpenSweep,
     ProtocolSpec,
     RetrySpec,
 )
@@ -85,3 +90,11 @@ def open_retry_point(
         admission=AdmissionSpec(kind="shed", params={"threshold": 0.5}),
         seed=SEED,
     )
+
+
+def fused_open_sweeps() -> dict[str, OpenSweep]:
+    """The example load curve and retry grid, as run by ``run_open_sweep``."""
+    return {
+        "load_sweep": OpenSweep.from_dict(EXAMPLE_OPEN_SWEEP),
+        "retry_sweep": OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP),
+    }

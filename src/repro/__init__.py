@@ -16,7 +16,7 @@ they stand on:
   without collision detection) and an information-theory toolkit
   (condensed distributions, entropy/KL, Huffman and Shannon codes);
 * a measurement harness and an experiment registry regenerating every
-  cell of the paper's Tables 1 and 2 (see DESIGN.md / EXPERIMENTS.md).
+  cell of the paper's Tables 1 and 2 (see :mod:`repro.experiments`).
 
 Quick start::
 

@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment tables and reports.
 
 Experiments produce rows of numbers; these helpers render them as aligned
-ASCII tables (for stdout and EXPERIMENTS.md) and CSV (for downstream
+ASCII tables (for stdout and reports) and CSV (for downstream
 plotting).  No external dependencies, no colour codes - output must be
 readable inside pytest-benchmark logs and in piped files.
 """

@@ -5,8 +5,8 @@ Subcommands:
 * ``repro list`` - show the experiment registry;
 * ``repro run <ID> [...]`` - run experiments and print their reports
   (``all`` runs the full registry);
-* ``repro report [...]`` - run the full registry and emit the
-  EXPERIMENTS.md-style paper-vs-measured summary;
+* ``repro report [...]`` - run the full registry and emit a
+  paper-vs-measured summary;
 * ``repro scenario run <SPEC.json>`` - execute one declarative scenario;
 * ``repro scenario sweep <SWEEP.json>`` - expand and execute a scenario
   grid through the serial, process-pool, fused or supervised executor;

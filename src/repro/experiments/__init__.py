@@ -1,7 +1,7 @@
 """Reproduction experiments: one module per paper artefact.
 
-See DESIGN.md Section 3 for the experiment index and
-:mod:`repro.experiments.registry` for the id -> runner mapping.
+See :mod:`repro.experiments.registry` for the experiment index (the
+id -> runner mapping).
 """
 
 from .base import ExperimentConfig, ExperimentResult

@@ -3,8 +3,8 @@
 Every experiment in the registry consumes an :class:`ExperimentConfig`
 (scale knobs + RNG seed) and produces an :class:`ExperimentResult` - a
 table of measured rows, a set of named boolean *shape checks* (the
-operational meaning of "reproduced" for an asymptotic claim; see
-DESIGN.md Section 3) and free-form notes.  The CLI and the benchmark
+operational meaning of "reproduced" for an asymptotic claim) and
+free-form notes.  The CLI and the benchmark
 harness both render results through :meth:`ExperimentResult.render`.
 """
 
@@ -32,8 +32,8 @@ class ExperimentConfig:
     seed:
         Root RNG seed; every experiment derives its generator from it.
     quick:
-        Thinned sweeps and reduced trials, for benchmarks and CI.  The
-        full scale is the documented EXPERIMENTS.md configuration.
+        Thinned sweeps and reduced trials, for benchmarks and CI;
+        ``False`` runs the full scale.
     batch:
         Run uniform Monte Carlo estimation on the vectorized batch engine
         (the default; protocols that cannot batch fall back to the scalar

@@ -34,6 +34,7 @@ from .driver import (
     ENGINE_OPEN_HISTORY,
     ENGINE_OPEN_SCALAR,
     ENGINE_OPEN_SCHEDULE,
+    OpenMember,
     OpenRunResult,
     run_open,
     select_open_engine,
@@ -65,6 +66,7 @@ __all__ = [
     "ENGINE_OPEN_HISTORY",
     "ENGINE_OPEN_SCALAR",
     "ENGINE_OPEN_SCHEDULE",
+    "OpenMember",
     "OpenRunResult",
     "run_open",
     "select_open_engine",

@@ -7,7 +7,8 @@ emergent backlog, a resolved request departs recording its sojourn time,
 and the survivors plus fresh arrivals contend again.  One trial is one
 independent channel; a run advances ``trials`` channels for ``rounds``
 rounds and accumulates every measured completion into one
-:class:`~repro.opensys.latency.LatencyStore`.
+:class:`~repro.opensys.latency.LatencyStore` per stacked point (see
+"Stacked rows" below).
 
 Request lifecycle
 -----------------
@@ -81,6 +82,22 @@ the same per-trial streams (unused draws are discarded, which is
 distribution-neutral), and a run sharded as ``trial_offset = 0..a`` plus
 ``a..a+b`` merges to the unsharded run's store exactly.
 
+Stacked rows
+------------
+The engines advance *rows*, and a run may stack several points
+(:class:`OpenMember`: an arrival process, a seed and a trial count) that
+share everything else - protocol, channel, rounds, warmup, capacity,
+timeout and policies.  Member ``j`` owns a consecutive block of rows,
+each with its own arrival clone and its own stream pair from the
+member's seed, so the stream contract above holds per row whatever the
+stacking.  Every lifecycle step is row-wise, so a member's rows evolve
+exactly as they would in a run of their own.  The row -> member split
+keeps the results apart: the batch lifecycle tallies its counters per
+row and sums them per member once, at the end, and each round's
+completions go to the owning member's store (one ``record_many`` per
+member), so every member's store is bit-identical to its solo run.  A
+plain one-point run is the one-member case.
+
 Engines
 -------
 ``open-schedule``
@@ -144,6 +161,7 @@ __all__ = [
     "ENGINE_OPEN_SCHEDULE",
     "ENGINE_OPEN_HISTORY",
     "ENGINE_OPEN_SCALAR",
+    "OpenMember",
     "OpenRunResult",
     "select_open_engine",
     "run_open",
@@ -208,11 +226,62 @@ def _column_layout(
 
 
 @dataclass(frozen=True)
-class OpenRunResult:
-    """One open run: the accumulated latency store plus the engine used."""
+class OpenMember:
+    """One point's rows in a stacked open run.
 
-    store: LatencyStore
+    ``trials`` rows, each serving a private clone of ``arrivals`` with
+    the stream pair of trial ``trial_offset + t`` under ``seed``.
+    """
+
+    arrivals: ArrivalProcess
+    trials: int
+    seed: int
+
+
+@dataclass(frozen=True)
+class OpenRunResult:
+    """One open run: a latency store per member plus the engine used."""
+
+    stores: tuple[LatencyStore, ...]
     engine: str
+
+    @property
+    def store(self) -> LatencyStore:
+        """The store of a one-member run."""
+        if len(self.stores) != 1:
+            raise ValueError(
+                f"a run of {len(self.stores)} stacked members has one store "
+                "per member; read .stores"
+            )
+        return self.stores[0]
+
+
+class _RowSplit:
+    """Row -> member map of a stacked run, and the members' stores.
+
+    Member ``j`` owns rows ``bounds[j]:bounds[j+1]``.
+    """
+
+    def __init__(self, sizes: Sequence[int]) -> None:
+        self.stores = tuple(LatencyStore() for _ in sizes)
+        self.bounds = np.cumsum([0, *sizes])
+        self._owner = np.repeat(np.arange(len(sizes)), sizes)
+
+    def store_of(self, row: int) -> LatencyStore:
+        return self.stores[self._owner[row]]
+
+    def record(self, rows: np.ndarray, sojourns: np.ndarray) -> None:
+        """Record completions of ascending ``rows`` into their owners."""
+        cuts = np.searchsorted(rows, self.bounds).tolist()
+        for store, lo, hi in zip(self.stores, cuts, cuts[1:]):
+            store.record_many(sojourns[lo:hi])
+
+    def add(self, tally: dict[str, np.ndarray]) -> None:
+        """Sum per-row counter tallies into each member's store."""
+        for name, per_row in tally.items():
+            totals = np.add.reduceat(per_row, self.bounds[:-1])
+            for store, total in zip(self.stores, totals.tolist()):
+                setattr(store, name, getattr(store, name) + total)
 
 
 def select_open_engine(
@@ -312,12 +381,14 @@ def _refill_blocks(
                 f"arrival process {processes[t].name!r} returned shape "
                 f"{counts.shape}, expected ({width},)"
             )
-        if (counts < 0).any():
-            raise ValueError(
-                f"arrival process {processes[t].name!r} returned negative counts"
-            )
         arrival_counts[t] = counts
-        channel_draws[t] = channel_rng.random((width, columns))
+        channel_rng.random(out=channel_draws[t])
+    negative = np.flatnonzero((arrival_counts < 0).any(axis=1))
+    if negative.size:
+        raise ValueError(
+            f"arrival process {processes[negative[0]].name!r} returned "
+            "negative counts"
+        )
     return arrival_counts, channel_draws
 
 
@@ -365,7 +436,8 @@ class _BatchLifecycle:
     (by trial, then insertion order), timeout expiry is a stable
     compaction, buffer departure is the winner swap-remove, and the
     j-th retry scheduled in a round takes the j-th Weyl rotation of the
-    round's retry draw.
+    round's retry draw.  Counters are tallied per row and handed to the
+    run's :class:`_RowSplit` by :meth:`finish`.
     """
 
     def __init__(
@@ -376,14 +448,19 @@ class _BatchLifecycle:
         warmup: int,
         admission: AdmissionPolicy,
         retry: RetryPolicy,
-        store: LatencyStore,
+        split: _RowSplit,
     ) -> None:
         self.trials = trials
         self.capacity = capacity
         self.timeout = timeout
         self.warmup = warmup
         self.retry = retry
-        self.store = store
+        self.split = split
+        self.tally = {
+            name: np.zeros(trials, dtype=np.int64)
+            for name in LatencyStore.COUNTERS
+            if name != "round_slots"
+        }
         self.occupancy = np.zeros(trials, dtype=np.int64)
         # With a zero-retry policy nothing ever re-enters, so the
         # admission round equals the birth round and the retry count is
@@ -441,12 +518,11 @@ class _BatchLifecycle:
         self._retry_draws = retry_draws
         if not self._plain:
             self._fail_rank[:] = 0
-        store = self.store
-        store.arrivals += int(fresh.sum())
+        self.tally["arrivals"] += fresh
 
         due_rows, due_born, due_tries, n_due = self._release(round_index)
         candidates = n_due + fresh
-        store.attempts += int(candidates.sum())
+        self.tally["attempts"] += candidates
         quota = self._adm_state.quota(
             self.occupancy, candidates, self.capacity, adm_draws
         )
@@ -522,7 +598,7 @@ class _BatchLifecycle:
         self.occupancy[rows] -= 1
         measured = born > self.warmup
         if measured.any():
-            self.store.record_many(round_index - born[measured] + 1)
+            self.split.record(rows[measured], round_index - born[measured] + 1)
 
     def end_round(self, round_index: int) -> None:
         """Evict requests whose current buffer stay hit the timeout."""
@@ -561,8 +637,9 @@ class _BatchLifecycle:
         self._fail(rows, born, tries, _FAIL_TIMEOUT)
 
     def finish(self) -> None:
-        self.store.in_flight += int(self.occupancy.sum())
-        self.store.in_orbit += int(self.orb_n.sum())
+        self.tally["in_flight"] += self.occupancy
+        self.tally["in_orbit"] += self.orb_n
+        self.split.add(self.tally)
 
     # ------------------------------------------------------------------
     # Internals
@@ -644,23 +721,23 @@ class _BatchLifecycle:
         kind: int,
     ) -> None:
         """Resolve failure events (row-major order) through the policy."""
-        store = self.store
+        tally = self.tally
         allowed = self.retry.allows(tries)
         if allowed is True:
             allowed = np.ones(rows.size, dtype=bool)
         deaths = ~allowed
         if deaths.any():
-            first = int((tries[deaths] == 0).sum())
-            if kind == _FAIL_ADMISSION:
-                store.dropped += first
-            else:
-                store.timed_out += first
-            store.abandoned += int(deaths.sum()) - first
+            first = deaths & (tries == 0)
+            counter = "dropped" if kind == _FAIL_ADMISSION else "timed_out"
+            tally[counter] += np.bincount(rows[first], minlength=self.trials)
+            tally["abandoned"] += np.bincount(
+                rows[deaths & ~first], minlength=self.trials
+            )
         if not allowed.any():
             return
         retry_rows = rows[allowed]
         retry_tries = tries[allowed]
-        store.retried += retry_rows.size
+        tally["retried"] += np.bincount(retry_rows, minlength=self.trials)
         jitter_u = None
         if self.retry.needs_draws:
             ranks, counts = _row_ranks(retry_rows, self.trials)
@@ -822,7 +899,7 @@ def _run_open_schedule(
     timeout: int | None,
     admission: AdmissionPolicy,
     retry: RetryPolicy,
-    store: LatencyStore,
+    split: _RowSplit,
 ) -> None:
     """Vectorized open loop for schedule-publishing protocols."""
     schedule = protocol.batch_schedule()
@@ -832,7 +909,7 @@ def _run_open_schedule(
 
     trials = len(processes)
     lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, store
+        trials, capacity, timeout, warmup, admission, retry, split
     )
     epoch_round = np.zeros(trials, dtype=np.int64)
 
@@ -889,7 +966,7 @@ def _run_open_history(
     timeout: int | None,
     admission: AdmissionPolicy,
     retry: RetryPolicy,
-    store: LatencyStore,
+    split: _RowSplit,
 ) -> None:
     """Vectorized open loop for deterministic history-driven protocols."""
     arena = _arena_for_run()
@@ -903,7 +980,7 @@ def _run_open_history(
 
     trials = len(processes)
     lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, store
+        trials, capacity, timeout, warmup, admission, retry, split
     )
     node = np.full(trials, root, dtype=np.int64)
     collision_detection = channel.collision_detection
@@ -971,7 +1048,7 @@ def _run_open_scalar(
     timeout: int | None,
     admission: AdmissionPolicy,
     retry: RetryPolicy,
-    store: LatencyStore,
+    split: _RowSplit,
 ) -> None:
     """The per-trial reference loop: real sessions, identical streams.
 
@@ -988,7 +1065,7 @@ def _run_open_scalar(
     for t in range(len(processes)):
         fault_state = model.batch_state(1) if model is not None else None
         lifecycle = _ScalarLifecycle(
-            capacity, timeout, warmup, admission, retry, store
+            capacity, timeout, warmup, admission, retry, split.store_of(t)
         )
         session = None
         arrival_counts = channel_draws = None
@@ -1065,7 +1142,7 @@ def _run_open_scalar(
 
 def run_open(
     protocol: UniformProtocol,
-    arrivals: ArrivalProcess,
+    arrivals: ArrivalProcess | Sequence[OpenMember],
     *,
     channel: Channel,
     trials: int,
@@ -1075,7 +1152,7 @@ def run_open(
     timeout: int | None = None,
     retry: RetryPolicy | None = None,
     admission: AdmissionPolicy | None = None,
-    seed: int = 2021,
+    seed: int | None = None,
     trial_offset: int = 0,
     batch: bool | None = None,
 ) -> OpenRunResult:
@@ -1092,10 +1169,34 @@ def run_open(
     recorded in the returned :class:`~repro.opensys.latency.
     LatencyStore` with their full per-request sojourn.
 
+    ``arrivals`` may instead be a sequence of :class:`OpenMember`\\ s:
+    one stacked run of several points (see "Stacked rows" above) whose
+    result holds one store per member, each bit-identical to the
+    member's solo run.  ``trials`` is then the members' total and each
+    member brings its own seed, so ``seed`` must be left unset; it
+    defaults to 2021 for a single process.
+
     Two runs with the same ``seed`` and consecutive ``trial_offset``
     windows merge (``store.merge``) to exactly the store of one combined
     run - the sharding contract of the satellite seed-hygiene task.
     """
+    if isinstance(arrivals, ArrivalProcess):
+        members = [
+            OpenMember(arrivals, trials, 2021 if seed is None else seed)
+        ]
+    else:
+        members = list(arrivals)
+        if seed is not None:
+            raise ValueError(
+                "stacked members carry their own seeds; leave seed unset"
+            )
+        if not members or any(member.trials < 1 for member in members):
+            raise ValueError("a stacked run needs members of >= 1 trial each")
+        total = sum(member.trials for member in members)
+        if trials != total:
+            raise ValueError(
+                f"trials must equal the members' total {total}, got {trials}"
+            )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if rounds < 1:
@@ -1128,23 +1229,32 @@ def run_open(
     model = channel.active_model
     engine = select_open_engine(protocol, batch, model=model)
 
-    processes = [arrivals.clone() for _ in range(trials)]
-    streams = _trial_streams(seed, trials, trial_offset)
-    store = LatencyStore()
+    processes = [
+        member.arrivals.clone()
+        for member in members
+        for _ in range(member.trials)
+    ]
+    streams = [
+        pair
+        for member in members
+        for pair in _trial_streams(member.seed, member.trials, trial_offset)
+    ]
+    split = _RowSplit([member.trials for member in members])
     if engine == ENGINE_OPEN_SCHEDULE:
         _run_open_schedule(
             protocol, processes, streams, model, rounds, warmup, capacity,
-            timeout, admission, retry, store,
+            timeout, admission, retry, split,
         )
     elif engine == ENGINE_OPEN_HISTORY:
         _run_open_history(
             protocol, processes, streams, channel, model, rounds, warmup,
-            capacity, timeout, admission, retry, store,
+            capacity, timeout, admission, retry, split,
         )
     else:
         _run_open_scalar(
             protocol, processes, streams, channel, model, rounds, warmup,
-            capacity, timeout, admission, retry, store,
+            capacity, timeout, admission, retry, split,
         )
-    store.round_slots += trials * (rounds - warmup)
-    return OpenRunResult(store=store, engine=engine)
+    for member, store in zip(members, split.stores):
+        store.round_slots += member.trials * (rounds - warmup)
+    return OpenRunResult(stores=split.stores, engine=engine)

@@ -104,6 +104,8 @@ from .open import (
     RetrySpec,
     OpenSweep,
     OpenSweepResult,
+    open_fusion_groups,
+    open_fusion_key,
     resolve_open_scenario,
     run_open_scenario,
     run_open_sweep,
@@ -173,6 +175,8 @@ __all__ = [
     "OpenSweep",
     "OpenSweepResult",
     "run_open_sweep",
+    "open_fusion_key",
+    "open_fusion_groups",
     # example payloads
     "EXAMPLE_CD_SWEEP",
     "EXAMPLE_ADVERSARY_SWEEP",

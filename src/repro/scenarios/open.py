@@ -31,7 +31,12 @@ from typing import Any
 from ..channel.channel import Channel
 from ..core.protocol import UniformProtocol
 from ..opensys.arrivals import ArrivalProcess, arrival_process_from_dict
-from ..opensys.driver import run_open, select_open_engine
+from ..opensys.driver import (
+    ENGINE_OPEN_SCALAR,
+    OpenMember,
+    run_open,
+    select_open_engine,
+)
 from ..opensys.latency import LatencyStore, LatencySummary
 from ..opensys.policies import (
     AdmissionPolicy,
@@ -59,6 +64,9 @@ __all__ = [
     "ResolvedOpenScenario",
     "resolve_open_scenario",
     "run_open_scenario",
+    "OPEN_GROUP_CELLS",
+    "open_fusion_key",
+    "open_fusion_groups",
     "OpenSweep",
     "OpenSweepResult",
     "run_open_sweep",
@@ -520,33 +528,115 @@ class OpenScenarioResult:
         return "\n".join(lines)
 
 
-def run_open_scenario(spec: OpenScenarioSpec) -> OpenScenarioResult:
-    """Execute one open scenario and return its serializable result."""
+def _run_open_group(
+    members: Sequence[ResolvedOpenScenario],
+) -> list[OpenScenarioResult]:
+    """Execute resolved points sharing an open fusion key as one run.
+
+    One :func:`~repro.opensys.driver.run_open` call stacks the members'
+    trials as rows; each member's store comes back bit-identical to its
+    solo run.  A stacked run has no per-point wall clock, so every
+    member records the group's equal share.
+    """
+    first = members[0]
+    spec = first.spec
     started = time.perf_counter()
-    resolved = resolve_open_scenario(spec)
     outcome = run_open(
-        resolved.protocol,
-        resolved.arrivals,
-        channel=resolved.channel,
-        trials=spec.trials,
+        first.protocol,
+        [
+            OpenMember(resolved.arrivals, resolved.spec.trials, resolved.spec.seed)
+            for resolved in members
+        ],
+        channel=first.channel,
+        trials=sum(resolved.spec.trials for resolved in members),
         rounds=spec.rounds,
         warmup=spec.warmup,
         capacity=spec.capacity,
         timeout=spec.timeout,
-        retry=resolved.retry,
-        admission=resolved.admission,
-        seed=spec.seed,
+        retry=first.retry,
+        admission=first.admission,
         batch=spec.batch,
     )
-    metadata = resolved.metadata()
-    metadata["engine"] = outcome.engine
-    return OpenScenarioResult(
-        spec=spec,
-        engine=outcome.engine,
-        store=outcome.store,
-        metadata=metadata,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    share = (time.perf_counter() - started) / len(members)
+    results = []
+    for resolved, store in zip(members, outcome.stores):
+        metadata = resolved.metadata()
+        metadata["engine"] = outcome.engine
+        results.append(
+            OpenScenarioResult(
+                spec=resolved.spec,
+                engine=outcome.engine,
+                store=store,
+                metadata=metadata,
+                elapsed_seconds=share,
+            )
+        )
+    return results
+
+
+def run_open_scenario(spec: OpenScenarioSpec) -> OpenScenarioResult:
+    """Execute one open scenario and return its serializable result."""
+    started = time.perf_counter()
+    (result,) = _run_open_group([resolve_open_scenario(spec)])
+    result.elapsed_seconds = time.perf_counter() - started
+    return result
+
+
+#: Most buffer cells (stacked rows x ``capacity``) one open run may hold.
+#: A fusion group past it runs as consecutive sub-groups, so a big grid
+#: never holds more buffer memory than this or one point's own buffer,
+#: whichever is larger.
+OPEN_GROUP_CELLS = 1 << 18
+
+
+def open_fusion_key(resolved: ResolvedOpenScenario) -> str | None:
+    """The stacking class of a resolved open point, or ``None``.
+
+    Points sharing a key run as rows of one driver run: the key is the
+    whole spec except ``seed``, ``name``, ``arrivals`` and ``trials``,
+    which the stacked driver takes per member.  ``None`` marks points
+    that always run alone: the ``open-scalar`` engine (the oracle stays a
+    plain per-point loop) and channel models that opt out of stacking
+    (:attr:`~repro.channel.models.ChannelModel.fusable` is False - the
+    adaptive adversaries).
+    """
+    model = resolved.channel.active_model
+    if resolved.engine == ENGINE_OPEN_SCALAR or (
+        model is not None and not model.fusable
+    ):
+        return None
+    shared = resolved.spec.to_dict()
+    for name in ("seed", "name", "arrivals", "trials"):
+        del shared[name]
+    return json.dumps(shared, sort_keys=True)
+
+
+def open_fusion_groups(
+    resolved_points: Sequence[ResolvedOpenScenario],
+) -> list[list[int]]:
+    """Partition point indices into stacked runs, in first-seen order.
+
+    Points group by :func:`open_fusion_key` (unstackable points are
+    singletons), and a group whose rows x capacity would pass
+    :data:`OPEN_GROUP_CELLS` closes and a new one opens for the next
+    member of its class.
+    """
+    groups: dict[str, list[int]] = {}
+    cells: dict[str, int] = {}
+    order: list[list[int]] = []
+    for index, resolved in enumerate(resolved_points):
+        key = open_fusion_key(resolved)
+        if key is None:
+            order.append([index])
+            continue
+        size = resolved.spec.trials * resolved.spec.capacity
+        if key not in groups or cells[key] + size > OPEN_GROUP_CELLS:
+            groups[key] = []
+            cells[key] = 0
+            order.append(groups[key])
+        groups[key].append(index)
+        cells[key] += size
+    return order
 
 
 @dataclass(frozen=True)
@@ -716,12 +806,20 @@ def run_open_sweep(
     resume: "str | os.PathLike | None" = None,
     cache: "ResultStore | str | os.PathLike | None" = None,
 ) -> OpenSweepResult:
-    """Execute an open sweep (or explicit point list), serially, in order.
+    """Execute an open sweep (or explicit point list), results in grid order.
+
+    Points still to run are resolved once each, grouped by
+    :func:`open_fusion_groups`, and every group runs as one stacked
+    driver run (a singleton is a one-member group); each point's result
+    equals its solo :func:`run_open_scenario` apart from
+    ``elapsed_seconds``, which is its group's equal share.
 
     ``resume=`` and ``cache=`` are the closed sweep's durability layer
     (:mod:`repro.scenarios.store`): a checkpoint journal replayed before
-    execution and appended per completed point, and a content-addressed
-    result store consulted before running anything.  Open and closed
+    execution, and a content-addressed result store consulted before
+    running anything.  Replayed and cached points are set aside before
+    grouping, so a partly warm grid stacks only its misses; a group's
+    points are journaled once the whole group has run.  Open and closed
     specs hash to disjoint key spaces, so one cache directory can serve
     both sweep families.
     """
@@ -753,28 +851,34 @@ def run_open_sweep(
             for index, result in journal.replayed.items():
                 slots[index] = result
                 if store is not None:
-                    assert keys is not None
                     store.put(points[index], result, key=keys[index])
             resumed = len(journal.replayed)
-        for index in range(total):
-            if slots[index] is not None:
-                continue
-            if store is not None:
-                assert keys is not None
+        if store is not None:
+            assert keys is not None
+            for index in range(total):
+                if slots[index] is not None:
+                    continue
                 hit = store.get(points[index], key=keys[index])
                 if hit is not None:
                     slots[index] = hit
                     cache_hits += 1
                     if journal is not None:
                         journal.append([(index, hit.to_dict())])
-                    continue
-            result = run_open_scenario(points[index])
-            slots[index] = result
-            if journal is not None:
-                journal.append([(index, result.to_dict())])
-            if store is not None:
-                assert keys is not None
-                store.put(points[index], result, key=keys[index])
+        missing = [index for index in range(total) if slots[index] is None]
+        resolved = [resolve_open_scenario(points[index]) for index in missing]
+        for group in open_fusion_groups(resolved):
+            results = _run_open_group([resolved[local] for local in group])
+            for local, result in zip(group, results):
+                index = missing[local]
+                slots[index] = result
+                if journal is not None:
+                    # One line per point, not per group: a point's result
+                    # does not depend on its group, so a torn group replays
+                    # its journaled points and re-runs only the rest.
+                    journal.append([(index, result.to_dict())])
+                if store is not None:
+                    assert keys is not None
+                    store.put(points[index], result, key=keys[index])
     finally:
         if journal is not None:
             journal.close()

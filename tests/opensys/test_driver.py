@@ -27,6 +27,7 @@ from repro.opensys import (
     HardCapacityPolicy,
     ImmediateRetryPolicy,
     OccupancySheddingPolicy,
+    OpenMember,
     PoissonArrivals,
     TokenBucketPolicy,
     ZipfHotspotArrivals,
@@ -550,3 +551,92 @@ class TestValidation:
                 admission="shed",
                 **good,
             )
+
+
+class TestStackedMembers:
+    """Several points as rows of one run: each store equals its solo run."""
+
+    MEMBERS = (
+        (PoissonArrivals(0.1), 5, 3),
+        (ZipfHotspotArrivals(0.2, alpha=1.1, max_batch=5), 9, 4),
+        (PoissonArrivals(0.5), 2, 5),
+    )
+
+    def stacked_and_solo(self, protocol, channel, **kwargs):
+        common = dict(channel=channel, rounds=160, **kwargs)
+        members = [
+            OpenMember(arrivals, trials, seed)
+            for arrivals, trials, seed in self.MEMBERS
+        ]
+        stacked = run_open(
+            protocol, members, trials=sum(m.trials for m in members), **common
+        )
+        solo = [
+            run_open(protocol, m.arrivals, trials=m.trials, seed=m.seed, **common)
+            for m in members
+        ]
+        return stacked, solo
+
+    @pytest.mark.parametrize(
+        "name,protocol,channel,kwargs",
+        [
+            ("schedule", DecayProtocol(N), without_collision_detection(), {}),
+            (
+                "history",
+                WillardProtocol(N),
+                with_collision_detection(NoisyChannel(success_erasure=0.2)),
+                {},
+            ),
+            (
+                "lifecycle",
+                DecayProtocol(N),
+                without_collision_detection(),
+                dict(
+                    capacity=6,
+                    timeout=9,
+                    retry=ExponentialBackoffPolicy(jitter=3, budget=3),
+                    admission=OccupancySheddingPolicy(threshold=0.5),
+                ),
+            ),
+            (
+                "scalar",
+                DecayProtocol(N),
+                without_collision_detection(ObliviousJammer(budget=20, period=3)),
+                dict(batch=False, timeout=12, retry=ImmediateRetryPolicy()),
+            ),
+        ],
+    )
+    def test_member_stores_equal_solo_runs(self, name, protocol, channel, kwargs):
+        stacked, solo = self.stacked_and_solo(protocol, channel, **kwargs)
+        assert stacked.engine == solo[0].engine
+        assert list(stacked.stores) == [result.store for result in solo]
+
+    def test_stacked_shards_still_merge(self):
+        members = [OpenMember(PoissonArrivals(0.3), 4, 8)]
+        whole = run_open(
+            DecayProtocol(N), members, channel=without_collision_detection(),
+            trials=4, rounds=96,
+        )
+        halves = [
+            run_open(
+                DecayProtocol(N), [OpenMember(PoissonArrivals(0.3), 2, 8)],
+                channel=without_collision_detection(), trials=2, rounds=96,
+                trial_offset=offset,
+            ).store
+            for offset in (0, 2)
+        ]
+        assert halves[0].merge(halves[1]) == whole.store
+
+    def test_members_are_validated(self):
+        members = [OpenMember(PoissonArrivals(0.1), 3, 1)] * 2
+        common = dict(channel=without_collision_detection(), rounds=32)
+        with pytest.raises(ValueError, match="members' total 6"):
+            run_open(DecayProtocol(N), members, trials=5, **common)
+        with pytest.raises(ValueError, match="their own seeds"):
+            run_open(DecayProtocol(N), members, trials=6, seed=1, **common)
+        with pytest.raises(ValueError, match=">= 1 trial"):
+            run_open(DecayProtocol(N), [], trials=0, **common)
+        result = run_open(DecayProtocol(N), members, trials=6, **common)
+        assert result.stores[0] == result.stores[1]
+        with pytest.raises(ValueError, match="read .stores"):
+            result.store

@@ -336,6 +336,193 @@ class TestSweep:
         assert p99s[-1] > p99s[0], "tail latency must grow with load"
 
 
+def _conserved(store) -> bool:
+    return store.arrivals == (
+        store.completed + store.dropped + store.timed_out + store.abandoned
+        + store.in_flight + store.in_orbit
+    )
+
+
+def _without_elapsed(result) -> dict:
+    data = result.to_dict()
+    del data["elapsed_seconds"]
+    return data
+
+
+@pytest.fixture
+def driver_calls(monkeypatch):
+    """Row counts of every stacked driver run the open sweep makes."""
+    from repro.scenarios import open as open_module
+
+    calls: list[int] = []
+    real = open_module.run_open
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["trials"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(open_module, "run_open", spy)
+    return calls
+
+
+def _open_base(**overrides) -> dict:
+    base = {
+        "protocol": {"id": "decay"},
+        "arrivals": {"family": "poisson", "params": {"rate": 0.2}},
+        "channel": "nocd",
+        "n": 64,
+        "trials": 6,
+        "rounds": 96,
+        "capacity": 32,
+        "seed": 11,
+    }
+    base.update(overrides)
+    return base
+
+
+def _model_channel(name: str, params: dict, cd: bool = False) -> dict:
+    return {"collision_detection": cd, "model": {"name": name, "params": params}}
+
+
+RATES = {"arrivals.params.rate": [0.1, 0.3, 0.6]}
+
+#: name -> (sweep, expected rows per driver run).
+FUSED_SWEEPS = {
+    "example-load": (EXAMPLE_OPEN_SWEEP, [256]),
+    "example-load-warmup0": (
+        {**EXAMPLE_OPEN_SWEEP, "base": {**EXAMPLE_OPEN_SWEEP["base"], "warmup": 0}},
+        [256],
+    ),
+    "example-retry": (EXAMPLE_OPEN_RETRY_SWEEP, [32, 32, 32]),
+    "example-retry-warmup0": (
+        {
+            **EXAMPLE_OPEN_RETRY_SWEEP,
+            "base": {**EXAMPLE_OPEN_RETRY_SWEEP["base"], "warmup": 0},
+        },
+        [32, 32, 32],
+    ),
+    "willard-cd": (
+        {"base": _open_base(protocol={"id": "willard"}, channel="cd"), "grid": RATES},
+        [18],
+    ),
+    "jam-oblivious": (
+        {
+            "base": _open_base(
+                channel=_model_channel(
+                    "jam-oblivious", {"budget": 24, "start": 4, "period": 2}
+                )
+            ),
+            "grid": RATES,
+        },
+        [18],
+    ),
+    "noise": (
+        {
+            "base": _open_base(
+                protocol={"id": "willard"},
+                channel=_model_channel(
+                    "noise",
+                    {"success_erasure": 0.2, "silence_to_collision": 0.1},
+                    cd=True,
+                ),
+            ),
+            "grid": RATES,
+        },
+        [18],
+    ),
+    "adaptive-singletons": (
+        {
+            "base": _open_base(
+                channel=_model_channel(
+                    "jam-adaptive", {"budget": 16, "strategy": "greedy"}
+                )
+            ),
+            "grid": RATES,
+        },
+        [6, 6, 6],
+    ),
+    "mixed-arrivals": (
+        {
+            "base": _open_base(timeout=12, retry="immediate"),
+            "grid": {
+                "arrivals": [
+                    {"family": "poisson", "params": {"rate": 0.4}},
+                    {
+                        "family": "zipf-hotspot",
+                        "params": {"rate": 0.2, "alpha": 1.2, "max_batch": 6},
+                    },
+                    {"family": "poisson", "params": {"rate": 0.1}},
+                ]
+            },
+        },
+        [18],
+    ),
+    "varied-trials": (
+        {"base": _open_base(), "grid": {"trials": [1, 7, 4]}},
+        [12],
+    ),
+    "scalar-singletons": (
+        {"base": _open_base(batch=False), "grid": RATES},
+        [6, 6, 6],
+    ),
+}
+
+
+class TestFusedSweep:
+    """Stacked open sweeps: every point equals its solo run, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_SWEEPS))
+    def test_points_equal_their_solo_runs(self, name, driver_calls):
+        payload, rows = FUSED_SWEEPS[name]
+        sweep = OpenSweep.from_dict(payload)
+        fused = run_open_sweep(sweep)
+        assert driver_calls == rows
+        for point, result in zip(sweep.points(), fused.results):
+            assert _without_elapsed(result) == _without_elapsed(
+                run_open_scenario(point)
+            ), f"{name}: {point.label()} diverged from its solo run"
+            if point.warmup == 0:
+                assert _conserved(result.store), point.label()
+
+    def test_row_cap_splits_a_group_into_consecutive_runs(self, driver_calls):
+        from repro.scenarios.open import OPEN_GROUP_CELLS
+
+        trials = 8
+        # Exactly two points fill the cap, so five run as 2 + 2 + 1.
+        capacity = OPEN_GROUP_CELLS // (2 * trials)
+        sweep = OpenSweep.from_dict(
+            {
+                "base": _open_base(trials=trials, rounds=32, capacity=capacity),
+                "grid": {"arrivals.params.rate": [0.1, 0.2, 0.3, 0.4, 0.5]},
+            }
+        )
+        fused = run_open_sweep(sweep)
+        assert driver_calls == [16, 16, 8]
+        for point, result in zip(sweep.points(), fused.results):
+            assert result.store == run_open_scenario(point).store
+            assert _conserved(result.store)
+
+    def test_groups_follow_the_fusion_key_in_first_seen_order(self):
+        from repro.scenarios import open_fusion_groups
+
+        points = OpenSweep.from_dict(
+            {
+                "base": _open_base(),
+                "grid": {"capacity": [8, 16], "arrivals.params.rate": [0.1, 0.2]},
+            }
+        ).points()
+        extra = points[0].override({"batch": False, "name": "oracle"})
+        resolved = [resolve_open_scenario(p) for p in [*points, extra, points[1]]]
+        assert open_fusion_groups(resolved) == [[0, 1, 5], [2, 3], [4]]
+
+    def test_fused_members_share_the_group_wall_clock(self):
+        result = run_open_sweep(
+            OpenSweep.from_dict({"base": _open_base(), "grid": RATES})
+        )
+        shares = {r.elapsed_seconds for r in result.results}
+        assert len(shares) == 1 and shares.pop() > 0
+
+
 class TestExamples:
     def test_example_scenario_loads_and_runs(self):
         loaded = OpenScenarioSpec.from_dict(EXAMPLE_OPEN_SCENARIO)

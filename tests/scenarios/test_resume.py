@@ -270,3 +270,60 @@ class TestOpenSweepDurability:
         assert warm.cache_hits == 3
         assert warm.results == cold.results
         assert "cache_hits=3" in warm.render()
+
+
+def open_group_sweep() -> OpenSweep:
+    # Capacity is part of the open fusion key and the rate is not, so the
+    # row-major grid runs as four consecutive stacked groups of two.
+    return OpenSweep(
+        base=open_sweep().base,
+        grid={"capacity": [8, 16, 32, 64], "arrivals.params.rate": [0.2, 0.5]},
+    )
+
+
+class TestOpenGroupResume:
+    GROUPS = 4
+    GROUP_SIZE = 2
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_interrupt_after_k_groups_resumes_bit_identical(
+        self, tmp_path, monkeypatch, k
+    ):
+        from repro.scenarios import open as open_module
+
+        sweep = open_group_sweep()
+        reference = run_open_sweep(sweep)
+        journal = tmp_path / "j.jsonl"
+        cache = tmp_path / "cache"
+        real = open_module.run_open
+        rows: list[int] = []
+        limit = [k]
+
+        def counted(*args, **kwargs):
+            if len(rows) == limit[0]:
+                raise SimulatedCrash(f"interrupted after {k} group(s)")
+            rows.append(kwargs["trials"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(open_module, "run_open", counted)
+        with pytest.raises(SimulatedCrash):
+            run_open_sweep(sweep, resume=journal, cache=cache)
+        done = k * self.GROUP_SIZE
+
+        # The cache alone: the first k groups hit, and only the misses
+        # are grouped and stacked.
+        rows.clear()
+        limit[0] = None
+        warm = run_open_sweep(sweep, cache=cache)
+        assert (warm.cache_hits, warm.resumed) == (done, 0)
+        trials = sweep.base.trials
+        assert rows == [self.GROUP_SIZE * trials] * (self.GROUPS - k)
+        assert warm.results == reference.results
+
+        # The journal alone: exactly the first k groups replay.
+        resumed = run_open_sweep(sweep, resume=journal)
+        assert (resumed.resumed, resumed.cache_hits) == (done, 0)
+        assert resumed.results == reference.results
+        assert [r.to_dict()["store"] for r in resumed.results] == [
+            r.to_dict()["store"] for r in reference.results
+        ]

@@ -8,7 +8,8 @@ per-player engine), plus the scenario sweep executors (serial vs process
 pool on a Table-1-scale point grid; recorded as ``skipped`` on
 single-core boxes, where a pool physically cannot win) and the
 open-system driver (vectorized open-schedule loop vs the scalar
-per-trial reference on a fixed Poisson load point), and writes a
+per-trial reference on a fixed Poisson load point, and stacked open
+sweeps vs a loop of per-point runs), and writes a
 ``BENCH_*.json`` snapshot, so future PRs can track the performance
 trajectory with a one-line diff instead of re-deriving numbers from
 benchmark logs.
@@ -57,7 +58,11 @@ from repro.scenarios import run_sweep
 # the opt-in gates in benchmarks/; running as a script puts tools/ (not the
 # repo root) on sys.path, so anchor the import at the repo root.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from benchmarks.opensys_workload import open_point, open_retry_point  # noqa: E402
+from benchmarks.opensys_workload import (  # noqa: E402
+    fused_open_sweeps,
+    open_point,
+    open_retry_point,
+)
 from benchmarks.player_workload import N as PLAYER_N, player_cells  # noqa: E402
 from benchmarks.sweep_workload import (  # noqa: E402
     CACHE_TRIALS_PER_POINT,
@@ -547,6 +552,43 @@ def open_retry_bench(repeats: int) -> dict:
     }
 
 
+def open_sweep_fused_bench(repeats: int) -> dict:
+    """Stacked open sweeps vs a loop of per-point runs, same driver code.
+
+    The example load curve and retry grid - the sweeps the stacked-sweep
+    gate in ``benchmarks/test_bench_opensys.py`` holds to >= 1.3x
+    combined, with bit-identical stores.  Single-core.
+    """
+    from repro.scenarios import (
+        open_fusion_groups,
+        resolve_open_scenario,
+        run_open_scenario,
+        run_open_sweep,
+    )
+
+    measurements = {}
+    for name, sweep in fused_open_sweeps().items():
+        points = sweep.points()
+        groups = open_fusion_groups([resolve_open_scenario(p) for p in points])
+        per_point_seconds = _median_seconds(
+            lambda points=points: [run_open_scenario(p) for p in points],
+            repeats,
+        )
+        fused_seconds = _median_seconds(
+            lambda sweep=sweep: run_open_sweep(sweep), repeats
+        )
+        measurements[name] = {
+            "points": len(points),
+            "groups": len(groups),
+            "trials_per_point": points[0].trials,
+            "rounds": points[0].rounds,
+            "per_point_seconds": round(per_point_seconds, 6),
+            "fused_seconds": round(fused_seconds, 6),
+            "speedup": round(per_point_seconds / fused_seconds, 2),
+        }
+    return measurements
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -610,6 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     adaptive = adversary_adaptive(args.trials, args.repeats)
     open_system = open_system_bench(args.repeats)
     open_retry = open_retry_bench(args.repeats)
+    open_sweep_fused = open_sweep_fused_bench(args.repeats)
     snapshot = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "environment": {
@@ -636,6 +679,7 @@ def main(argv: list[str] | None = None) -> int:
         "adversary_adaptive": adaptive,
         "open_system": open_system,
         "open_retry": open_retry,
+        "open_sweep_fused": open_sweep_fused,
     }
     args.output.write_text(json.dumps(snapshot, indent=2) + "\n")
     for name, row in {**measurements, **player_engine}.items():
@@ -712,6 +756,13 @@ def main(argv: list[str] | None = None) -> int:
         f"({open_retry['retried']} retried, "
         f"{open_retry['abandoned']} abandoned)"
     )
+    for name, row in open_sweep_fused.items():
+        print(
+            f"open_sweep_fused/{name}: "
+            f"per-point={row['per_point_seconds']:.3f}s "
+            f"fused={row['fused_seconds']:.3f}s speedup={row['speedup']}x "
+            f"({row['points']} points in {row['groups']} groups)"
+        )
     print(f"snapshot written to {args.output}")
     return 0
 
