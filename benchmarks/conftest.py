@@ -2,8 +2,8 @@
 
 Each benchmark regenerates one paper artefact (a Table 1 / Table 2 cell or
 a supporting experiment) at benchmark scale, prints the measurement table
-it produced (so the teed benchmark log doubles as the raw data behind
-EXPERIMENTS.md) and asserts the experiment's shape checks.
+it produced (so the teed benchmark log doubles as the raw data) and
+asserts the experiment's shape checks.
 
 ``pytest benchmarks/ --benchmark-only`` is the documented entry point.
 """
@@ -16,8 +16,7 @@ from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.registry import run_experiment
 
 #: Benchmark-scale configuration: the full board (n = 2^16) with thinned
-#: sweeps/trials so the whole suite completes in minutes.  EXPERIMENTS.md
-#: records the full-scale (quick=False) numbers.
+#: sweeps/trials so the whole suite completes in minutes.
 BENCH_CONFIG = ExperimentConfig(n=2**16, trials=800, seed=2021, quick=True)
 
 

@@ -9,7 +9,8 @@ Subcommands:
   paper-vs-measured summary;
 * ``repro scenario run <SPEC.json>`` - execute one declarative scenario;
 * ``repro scenario sweep <SWEEP.json>`` - expand and execute a scenario
-  grid through the serial, process-pool, fused or supervised executor;
+  grid (closed or open) through the serial, process-pool, fused or
+  supervised executor;
   ``--resume JOURNAL`` checkpoints every completed point and replays the
   journal on re-run, ``--cache-dir DIR`` consults a content-addressed
   result store before executing anything, and ``--inject-faults JSON``

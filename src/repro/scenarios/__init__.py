@@ -14,9 +14,10 @@ The single configuration-driven entry point into the simulation stack:
   per-player engine and returns a JSON-round-trippable
   :class:`ScenarioResult`;
 * :mod:`~repro.scenarios.sweep` - grid expansion plus serial,
-  process-pool (multi-core) and fused (stacked single-core) executors;
-  the fused executor stacks compatible schedule, history (CD) and
-  player points into one engine run each;
+  process-pool (multi-core) and fused (stacked single-core) executors
+  for closed and open specs alike; the fused executor stacks compatible
+  schedule, history (CD) and player points, or open load points, into
+  one engine run each;
 * :mod:`~repro.scenarios.store` - the durability layer: a
   content-addressed result store (:class:`ResultStore`) and the
   checkpointing :class:`SweepJournal` behind
@@ -27,9 +28,10 @@ The single configuration-driven entry point into the simulation stack:
 * :mod:`~repro.scenarios.faults` - deterministic crash/hang/corrupt
   injection (:class:`FaultPlan`) so the recovery paths stay tested;
 * :mod:`~repro.scenarios.open` - open-system scenarios over streaming
-  arrivals (:class:`OpenScenarioSpec`, :func:`run_open_scenario`) and
-  the load -> latency sweep family (:class:`OpenSweep`,
-  :func:`run_open_sweep`).
+  arrivals (:class:`OpenScenarioSpec`, :func:`run_open_scenario`); a
+  load -> latency sweep is a :class:`Sweep` over an open base
+  (``OpenSweep`` is an alias), run by :func:`run_open_sweep` on the
+  fused executor or by :func:`run_sweep` on any executor.
 
 Quick start::
 

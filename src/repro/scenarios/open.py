@@ -5,10 +5,14 @@ The open-system counterpart of the spec/runner/sweep stack: an
 arrival process (:data:`repro.opensys.arrivals.ARRIVAL_FAMILIES`), a
 channel, and the open-run knobs (rounds, warmup, capacity, timeout,
 seed); :func:`run_open_scenario` resolves and executes it through the
-open-loop driver (:func:`repro.opensys.driver.run_open`), and
-:class:`OpenSweep` expands dotted-path grids - most usefully over
-``arrivals.params.rate`` - into the load -> latency curves that are the
-whole point of the subsystem.
+open-loop driver (:func:`repro.opensys.driver.run_open`).  Open sweeps
+are ordinary :class:`~repro.scenarios.sweep.Sweep`\\ s over an open base
+spec - most usefully over ``arrivals.params.rate``, giving the load ->
+latency curves that are the whole point of the subsystem - and run
+through :func:`~repro.scenarios.sweep.run_sweep` with every executor,
+the result store and the resume journal.  This module supplies the
+open family's half of that stack (:func:`resolve_open_scenario`,
+:func:`open_fusion_groups`, one stacked driver run per group).
 
 The same design rules as the closed layer apply: specs are pure
 JSON-native data (``from_json(to_json())`` is the identity), a spec plus
@@ -20,13 +24,11 @@ load from JSON.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from typing import Any
 
 from ..channel.channel import Channel
 from ..core.protocol import UniformProtocol
@@ -50,9 +52,11 @@ from .spec import (
     PredictionSpec,
     ProtocolSpec,
     ScenarioError,
+    ScenarioSpec,
     _check_known_keys,
     _require_mapping,
 )
+from .sweep import Sweep, SweepResult, run_sweep
 from .workloads import resolve_prediction
 
 __all__ = [
@@ -352,26 +356,9 @@ class OpenScenarioSpec:
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
-    def override(self, overrides: Mapping[str, Any]) -> "OpenScenarioSpec":
-        """A new spec with dotted-path fields replaced (re-validated).
-
-        Same contract as :meth:`ScenarioSpec.override`: paths index into
-        :meth:`to_dict` (``"trials"``, ``"arrivals.params.rate"``,
-        ``"channel.model.params.budget"``) and the result re-loads
-        through :meth:`from_dict`.
-        """
-        data = self.to_dict()
-        for path, value in overrides.items():
-            parts = path.split(".")
-            node = data
-            for part in parts[:-1]:
-                child = node.get(part)
-                if not isinstance(child, dict):
-                    child = {}
-                    node[part] = child
-                node = child
-            node[parts[-1]] = copy.deepcopy(value)
-        return type(self).from_dict(data)
+    #: Dotted-path fields replaced and re-validated, exactly as
+    #: :meth:`ScenarioSpec.override` (``"arrivals.params.rate"``).
+    override = ScenarioSpec.override
 
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""
@@ -639,252 +626,53 @@ def open_fusion_groups(
     return order
 
 
-@dataclass(frozen=True)
-class OpenSweep:
-    """A grid of open-scenario variations around a base spec.
+def _sweep_table(results: Sequence[OpenScenarioResult]) -> str:
+    """The load -> latency curve of open point results as a plain-text table."""
+    from ..analysis.tables import render_table
 
-    The load -> latency curve is the canonical use: sweep
-    ``arrivals.params.rate`` and read p50/p99 against offered load.  As
-    with the closed :class:`~repro.scenarios.sweep.Sweep`, points expand
-    in row-major grid order and - with ``vary_seed`` (default) - each
-    point's seed is a :func:`~repro.scenarios.sweep.derive_point_seeds`
-    child of the base seed, recorded in the point's own spec so any
-    point re-runs identically from its serialized form.
-    """
-
-    base: OpenScenarioSpec
-    grid: dict = field(default_factory=dict)
-    vary_seed: bool = True
-
-    def __post_init__(self) -> None:
-        for path, values in self.grid.items():
-            if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-                raise ScenarioError(
-                    f"grid values for {path!r} must be a list, got "
-                    f"{type(values).__name__}"
-                )
-            if len(values) == 0:
-                raise ScenarioError(f"grid values for {path!r} must be non-empty")
-
-    def points(self) -> list[OpenScenarioSpec]:
-        """The expanded open specs, in deterministic grid order."""
-        from .sweep import derive_point_seeds
-
-        paths = list(self.grid)
-        combos = list(itertools.product(*(self.grid[path] for path in paths)))
-        seeds = (
-            derive_point_seeds(self.base.seed, len(combos))
-            if self.vary_seed and "seed" not in paths
-            else None
+    headers = [
+        "point", "engine", "load", "p50", "p90", "p99",
+        "throughput", "dropped", "timed-out", "retried", "abandoned",
+    ]
+    rows: list[list[object]] = []
+    for result in results:
+        summary = result.summary
+        offered = result.metadata.get("offered_load")
+        rows.append(
+            [
+                result.spec.label(),
+                result.engine,
+                float("nan") if offered is None else offered,
+                summary.p50,
+                summary.p90,
+                summary.p99,
+                summary.throughput,
+                summary.dropped,
+                summary.timed_out,
+                summary.retried,
+                summary.abandoned,
+            ]
         )
-        specs: list[OpenScenarioSpec] = []
-        for index, combo in enumerate(combos):
-            overrides = dict(zip(paths, combo))
-            if seeds is not None:
-                overrides["seed"] = seeds[index]
-            if "name" not in overrides:
-                overrides["name"] = (
-                    f"{self.base.name}[{index}]"
-                    if self.base.name
-                    else f"point-{index}"
-                )
-            specs.append(self.base.override(overrides))
-        return specs
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "grid": {path: list(values) for path, values in self.grid.items()},
-            "vary_seed": self.vary_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OpenSweep":
-        data = _require_mapping(data, "open sweep spec")
-        _check_known_keys(data, {"base", "grid", "vary_seed"}, "open sweep spec")
-        if "base" not in data:
-            raise ScenarioError("open sweep spec needs a 'base' scenario")
-        grid = data.get("grid", {})
-        if not isinstance(grid, Mapping):
-            raise ScenarioError("open sweep 'grid' must be a mapping")
-        return cls(
-            base=OpenScenarioSpec.from_dict(data["base"]),
-            grid={str(path): list(values) for path, values in grid.items()},
-            vary_seed=bool(data.get("vary_seed", True)),
-        )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpenSweep":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"invalid open sweep JSON: {error}") from None
-        return cls.from_dict(data)
+    return render_table(headers, rows, precision=3)
 
 
-@dataclass
-class OpenSweepResult:
-    """All point results of one open sweep execution.
-
-    ``resumed`` and ``cache_hits`` count points restored from a
-    checkpoint journal / the content-addressed store instead of executed
-    (see :func:`~repro.scenarios.sweep.run_sweep` - same durability
-    layer, same provenance-not-identity equality rule).
-    """
-
-    results: list[OpenScenarioResult]
-    elapsed_seconds: float = field(default=0.0, compare=False)
-    resumed: int = field(default=0, compare=False)
-    cache_hits: int = field(default=0, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "elapsed_seconds": self.elapsed_seconds,
-            "resumed": self.resumed,
-            "cache_hits": self.cache_hits,
-            "results": [result.to_dict() for result in self.results],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OpenSweepResult":
-        return cls(
-            results=[
-                OpenScenarioResult.from_dict(row) for row in data["results"]
-            ],
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            resumed=int(data.get("resumed", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-        )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def render(self) -> str:
-        """The load -> latency curve as a plain-text table."""
-        from ..analysis.tables import render_table
-
-        headers = [
-            "point", "engine", "load", "p50", "p90", "p99",
-            "throughput", "dropped", "timed-out", "retried", "abandoned",
-        ]
-        rows: list[list[object]] = []
-        for result in self.results:
-            summary = result.summary
-            offered = result.metadata.get("offered_load")
-            rows.append(
-                [
-                    result.spec.label(),
-                    result.engine,
-                    float("nan") if offered is None else offered,
-                    summary.p50,
-                    summary.p90,
-                    summary.p99,
-                    summary.throughput,
-                    summary.dropped,
-                    summary.timed_out,
-                    summary.retried,
-                    summary.abandoned,
-                ]
-            )
-        table = render_table(headers, rows, precision=3)
-        return (
-            f"open sweep: {len(self.results)} point(s), "
-            f"wall {self.elapsed_seconds:.3f}s, resumed={self.resumed}, "
-            f"cache_hits={self.cache_hits}\n{table}"
-        )
+#: Open sweeps are :class:`~repro.scenarios.sweep.Sweep`\ s with an open
+#: base spec, and their results :class:`~repro.scenarios.sweep.SweepResult`\ s.
+OpenSweep = Sweep
+OpenSweepResult = SweepResult
 
 
 def run_open_sweep(
-    sweep: OpenSweep | Sequence[OpenScenarioSpec],
+    sweep: Sweep | Sequence[OpenScenarioSpec],
     *,
     resume: "str | os.PathLike | None" = None,
     cache: "ResultStore | str | os.PathLike | None" = None,
-) -> OpenSweepResult:
-    """Execute an open sweep (or explicit point list), results in grid order.
+) -> SweepResult:
+    """Execute an open sweep (or explicit point list) on the fused executor.
 
-    Points still to run are resolved once each, grouped by
-    :func:`open_fusion_groups`, and every group runs as one stacked
-    driver run (a singleton is a one-member group); each point's result
-    equals its solo :func:`run_open_scenario` apart from
-    ``elapsed_seconds``, which is its group's equal share.
-
-    ``resume=`` and ``cache=`` are the closed sweep's durability layer
-    (:mod:`repro.scenarios.store`): a checkpoint journal replayed before
-    execution, and a content-addressed result store consulted before
-    running anything.  Replayed and cached points are set aside before
-    grouping, so a partly warm grid stacks only its misses; a group's
-    points are journaled once the whole group has run.  Open and closed
-    specs hash to disjoint key spaces, so one cache directory can serve
-    both sweep families.
+    Each :func:`open_fusion_groups` group is one stacked driver run whose
+    points equal their solo :func:`run_open_scenario` runs apart from
+    ``elapsed_seconds`` (the group's equal share); ``resume=`` and
+    ``cache=`` are :func:`~repro.scenarios.sweep.run_sweep`'s.
     """
-    from .store import ResultStore, SweepJournal, spec_key, sweep_key
-
-    points = sweep.points() if isinstance(sweep, OpenSweep) else list(sweep)
-    if not points:
-        raise ScenarioError("open sweep expanded to zero points")
-    started = time.perf_counter()
-    total = len(points)
-    slots: list[OpenScenarioResult | None] = [None] * total
-    resumed = 0
-    cache_hits = 0
-    keys: list[str] | None = None
-    if resume is not None or cache is not None:
-        keys = [spec_key(point) for point in points]
-    store = ResultStore.coerce(cache)
-    journal: SweepJournal | None = None
-    try:
-        if resume is not None:
-            assert keys is not None
-            journal = SweepJournal(
-                resume,
-                sweep=sweep_key(keys),
-                points=total,
-                point_keys=keys,
-                result_from_dict=OpenScenarioResult.from_dict,
-            )
-            for index, result in journal.replayed.items():
-                slots[index] = result
-                if store is not None:
-                    store.put(points[index], result, key=keys[index])
-            resumed = len(journal.replayed)
-        if store is not None:
-            assert keys is not None
-            for index in range(total):
-                if slots[index] is not None:
-                    continue
-                hit = store.get(points[index], key=keys[index])
-                if hit is not None:
-                    slots[index] = hit
-                    cache_hits += 1
-                    if journal is not None:
-                        journal.append([(index, hit.to_dict())])
-        missing = [index for index in range(total) if slots[index] is None]
-        resolved = [resolve_open_scenario(points[index]) for index in missing]
-        for group in open_fusion_groups(resolved):
-            results = _run_open_group([resolved[local] for local in group])
-            for local, result in zip(group, results):
-                index = missing[local]
-                slots[index] = result
-                if journal is not None:
-                    # One line per point, not per group: a point's result
-                    # does not depend on its group, so a torn group replays
-                    # its journaled points and re-runs only the rest.
-                    journal.append([(index, result.to_dict())])
-                if store is not None:
-                    assert keys is not None
-                    store.put(points[index], result, key=keys[index])
-    finally:
-        if journal is not None:
-            journal.close()
-    return OpenSweepResult(
-        results=[slot for slot in slots if slot is not None],
-        elapsed_seconds=time.perf_counter() - started,
-        resumed=resumed,
-        cache_hits=cache_hits,
-    )
+    return run_sweep(sweep, executor="fused", resume=resume, cache=cache)

@@ -211,8 +211,9 @@ class ResultStore:
             self.stats.hits += 1
             self.stats.memory_hits += 1
             return self._memory[key]
-        result_from_dict = _result_loader(spec)
-        result = self._load_disk(key, result_from_dict)
+        from .sweep import spec_kind  # deferred: sweep imports this module
+
+        result = self._load_disk(key, spec_kind(spec).result.from_dict)
         if result is None:
             self.stats.misses += 1
             return None
@@ -250,17 +251,6 @@ class ResultStore:
                     pass
                 raise
         return key
-
-
-def _result_loader(spec) -> Callable:
-    """The matching ``from_dict`` for a spec's result type."""
-    if hasattr(spec, "arrivals"):
-        from .open import OpenScenarioResult
-
-        return OpenScenarioResult.from_dict
-    from .runner import ScenarioResult
-
-    return ScenarioResult.from_dict
 
 
 class SweepJournal:

@@ -21,10 +21,10 @@ point in its own supervised process:
   :func:`~repro.scenarios.sweep.run_sweep` returns the points that did
   complete plus the manifest instead of raising.
 
-Because every point still runs :func:`~repro.scenarios.runner.run_scenario`
-from its own serialized spec, supervised results are bit-identical to
-the serial executor's - supervision changes what happens on failure,
-never what a success computes.
+Because every point still runs alone from its own serialized spec,
+supervised results are bit-identical to the serial executor's -
+supervision changes what happens on failure, never what a success
+computes.
 
 Importing this module registers the executor as ``"supervised"`` with
 library defaults; the CLI re-registers it (``replace=True``) with
@@ -40,9 +40,8 @@ from collections.abc import Callable, Sequence
 from multiprocessing.connection import wait as _wait_connections
 
 from .faults import FaultPlan
-from .runner import ScenarioResult, run_scenario
-from .spec import ScenarioError, ScenarioSpec
-from .sweep import _pool_context, register_executor
+from .spec import ScenarioError
+from .sweep import _pool_context, _run_point_payload, register_executor, spec_kind
 
 __all__ = [
     "make_supervised_executor",
@@ -64,7 +63,7 @@ def _supervised_point_worker(
             # Never answer; the supervisor's deadline is the only way out.
             time.sleep(hang_seconds)
             os._exit(CRASH_EXIT_CODE)
-        result = run_scenario(ScenarioSpec.from_dict(spec_data)).to_dict()
+        result = _run_point_payload(spec_data)
         if directive == "corrupt":
             # A wrong-question answer: the embedded spec no longer
             # matches the point, which validation must catch.
@@ -121,7 +120,7 @@ def make_supervised_executor(
         raise ScenarioError(f"backoff must be >= 0, got {backoff}")
 
     def supervised(
-        points: Sequence[ScenarioSpec],
+        points: Sequence,
         max_workers: int | None,
         *,
         checkpoint: Callable | None = None,
@@ -133,7 +132,7 @@ def make_supervised_executor(
         context = _pool_context()
         plan = fault_plan if fault_plan is not None else FaultPlan()
 
-        results: list[ScenarioResult | None] = [None] * len(points)
+        results: list = [None] * len(points)
         failures: list[dict] = []
         waiting: list[tuple[int, int]] = [(i, 0) for i in range(len(points))]
         active: list[_Attempt] = []
@@ -179,7 +178,7 @@ def make_supervised_executor(
                 )
 
         def attempt_succeeded(attempt: _Attempt, payload: dict) -> None:
-            result = ScenarioResult.from_dict(payload)
+            result = spec_kind(points[attempt.index]).result.from_dict(payload)
             if result.spec != points[attempt.index]:
                 attempt_failed(
                     attempt,

@@ -31,6 +31,9 @@ and graceful degradation - on exhausted retries the sweep returns the
 points that did complete plus a structured failure manifest instead of
 raising.
 
+Closed and open-system specs run through this one stack; :func:`spec_kind`
+tells them apart and supplies each family's run, resolve and grouping code.
+
 Specs and results cross the process boundary as JSON-native dicts, so
 the pool never pickles protocol objects or RNG state - workers rebuild
 everything from the spec, exactly as a fresh process loading the JSON
@@ -56,6 +59,7 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -80,11 +84,16 @@ from .runner import (
 from .spec import ScenarioError, ScenarioSpec
 from .store import ResultStore, SweepJournal, spec_key, sweep_key
 
+if TYPE_CHECKING:
+    from .open import OpenScenarioSpec
+
 __all__ = [
     "Sweep",
     "SweepResult",
     "SweepPointError",
     "run_sweep",
+    "SpecKind",
+    "spec_kind",
     "derive_point_seeds",
     "fusion_key",
     "fusion_groups",
@@ -139,10 +148,70 @@ def derive_point_seeds(base_seed: int, count: int) -> list[int]:
 
 
 @dataclass(frozen=True)
+class SpecKind:
+    """One spec family: its classes, its solo ``run``, the fused executor's
+    ``resolve`` / ``fusion_groups`` / ``run_group``, and its CLI ``table``."""
+
+    title: str
+    spec: type
+    result: type
+    run: Callable
+    resolve: Callable
+    fusion_groups: Callable
+    run_group: Callable
+    table: Callable
+
+
+def spec_kind(spec) -> SpecKind:
+    """The family of ``spec``: a spec object, or a spec's JSON dict.
+
+    Open specs carry an ``arrivals`` slot and closed specs do not; this is
+    the one place the sweep stack, its journal and the result store tell
+    them apart.  The functions are read from their modules on every call,
+    so a traced or monkeypatched module attribute is the one that runs.
+    """
+    if isinstance(spec, Mapping):
+        is_open = "arrivals" in spec
+    else:
+        is_open = hasattr(spec, "arrivals")
+    if is_open:
+        # Deferred: scenarios.open imports this module.
+        from . import open as family
+
+        return SpecKind(
+            title="open sweep",
+            spec=family.OpenScenarioSpec,
+            result=family.OpenScenarioResult,
+            run=family.run_open_scenario,
+            resolve=family.resolve_open_scenario,
+            fusion_groups=family.open_fusion_groups,
+            run_group=family._run_open_group,
+            table=family._sweep_table,
+        )
+    return SpecKind(
+        title="sweep",
+        spec=ScenarioSpec,
+        result=ScenarioResult,
+        run=run_scenario,
+        resolve=resolve_scenario,
+        fusion_groups=fusion_groups,
+        run_group=_run_fused_group,
+        table=_sweep_table,
+    )
+
+
+def _result_from_dict(data: Mapping):
+    """A serialized point result of either family, loaded."""
+    return spec_kind(data["spec"]).result.from_dict(data)
+
+
+@dataclass(frozen=True)
 class Sweep:
     """A grid of scenario variations around a base spec.
 
-    ``grid`` maps dotted override paths (see
+    The base is a :class:`ScenarioSpec` or an open-system
+    :class:`~repro.scenarios.open.OpenScenarioSpec`.  ``grid`` maps dotted
+    override paths (see
     :meth:`ScenarioSpec.override`) to value lists; points are the
     cartesian product in row-major order (last key varies fastest).
     With ``vary_seed`` (default), each point's seed is offset by its
@@ -151,7 +220,7 @@ class Sweep:
     form reproduces identically.
     """
 
-    base: ScenarioSpec
+    base: "ScenarioSpec | OpenScenarioSpec"
     grid: dict = field(default_factory=dict)
     vary_seed: bool = True
 
@@ -220,8 +289,9 @@ class Sweep:
         grid = data.get("grid", {})
         if not isinstance(grid, Mapping):
             raise ScenarioError("sweep 'grid' must be a mapping")
+        base = data["base"]
         return cls(
-            base=ScenarioSpec.from_dict(data["base"]),
+            base=spec_kind(base).spec.from_dict(base),
             grid={str(path): list(values) for path, values in grid.items()},
             vary_seed=bool(data.get("vary_seed", True)),
         )
@@ -250,9 +320,11 @@ class SweepResult:
     retries): one mapping per missing point naming its index, label,
     grid overrides, spec and last error.  A degraded result is *not*
     equal to a complete one, so failures do participate in equality.
+    ``results`` holds :class:`ScenarioResult`\\ s for a closed sweep and
+    :class:`~repro.scenarios.open.OpenScenarioResult`\\ s for an open one.
     """
 
-    results: list[ScenarioResult]
+    results: list
     executor: str
     elapsed_seconds: float = field(default=0.0, compare=False)
     resumed: int = field(default=0, compare=False)
@@ -275,7 +347,7 @@ class SweepResult:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepResult":
         return cls(
-            results=[ScenarioResult.from_dict(row) for row in data["results"]],
+            results=[_result_from_dict(row) for row in data["results"]],
             executor=str(data.get("executor", "serial")),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             resumed=int(data.get("resumed", 0)),
@@ -287,28 +359,14 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
-        """Plain-text sweep table for the CLI."""
-        from ..analysis.tables import render_table
-
-        headers = ["point", "engine", "trials", "success", "mean rounds", "p90"]
-        rows: list[list[object]] = []
-        for result in self.results:
-            rows.append(
-                [
-                    result.spec.label(),
-                    result.engine,
-                    result.success.trials,
-                    result.success.rate,
-                    result.rounds.mean if result.any_successes else float("nan"),
-                    result.rounds.p90 if result.any_successes else float("nan"),
-                ]
-            )
-        table = render_table(headers, rows, precision=3)
+        """Plain-text sweep table (an open sweep's is its load curve) for the CLI."""
+        kind = spec_kind(self.results[0].spec if self.results else {})
         lines = [
-            f"sweep: {len(self.results)} point(s), executor={self.executor}, "
-            f"wall {self.elapsed_seconds:.3f}s, resumed={self.resumed}, "
-            f"cache_hits={self.cache_hits}, failures={len(self.failures)}",
-            table,
+            f"{kind.title}: {len(self.results)} point(s), "
+            f"executor={self.executor}, wall {self.elapsed_seconds:.3f}s, "
+            f"resumed={self.resumed}, cache_hits={self.cache_hits}, "
+            f"failures={len(self.failures)}",
+            kind.table(self.results),
         ]
         if self.failures:
             lines.append("failed points (see the structured manifest in --json):")
@@ -321,9 +379,30 @@ class SweepResult:
         return "\n".join(lines)
 
 
+def _sweep_table(results: Sequence[ScenarioResult]) -> str:
+    """Closed point results as a plain-text table."""
+    from ..analysis.tables import render_table
+
+    headers = ["point", "engine", "trials", "success", "mean rounds", "p90"]
+    rows: list[list[object]] = []
+    for result in results:
+        rows.append(
+            [
+                result.spec.label(),
+                result.engine,
+                result.success.trials,
+                result.success.rate,
+                result.rounds.mean if result.any_successes else float("nan"),
+                result.rounds.p90 if result.any_successes else float("nan"),
+            ]
+        )
+    return render_table(headers, rows, precision=3)
+
+
 def _run_point_payload(spec_data: dict) -> dict:
     """Worker entry: spec dict in, result dict out (picklable both ways)."""
-    return run_scenario(ScenarioSpec.from_dict(spec_data)).to_dict()
+    kind = spec_kind(spec_data)
+    return kind.run(kind.spec.from_dict(spec_data)).to_dict()
 
 
 def _run_serial(
@@ -336,7 +415,9 @@ def _run_serial(
     results: list[ScenarioResult] = []
     for index, point in enumerate(points):
         try:
-            result = run_scenario(point)
+            result = spec_kind(point).run(point)
+        except SimulatedCrash:
+            raise
         except Exception as error:
             raise SweepPointError(index, point, error) from error
         results.append(result)
@@ -382,10 +463,12 @@ def _run_process_pool(
                 except Exception as error:
                     for leftover in pending:
                         leftover.cancel()
+                    if isinstance(error, SimulatedCrash):
+                        raise
                     raise SweepPointError(
                         index, points[index], error
                     ) from error
-                result = ScenarioResult.from_dict(payload)
+                result = spec_kind(points[index]).result.from_dict(payload)
                 results[index] = result
                 if checkpoint is not None:
                     try:
@@ -545,37 +628,47 @@ def _run_fused_group(
 
 
 def _run_fused(
-    points: Sequence[ScenarioSpec],
+    points: Sequence,
     max_workers: int | None,
     *,
     checkpoint: Callable | None = None,
-) -> list[ScenarioResult]:
+) -> list:
     """The fused executor: stack compatible points, serial-run the rest.
 
+    Each spec family is resolved and grouped by its own :class:`SpecKind`.
     Checkpoint granularity is the fusion *group*: a stacked run either
     lands whole or not at all, so a resumed sweep re-fuses exactly the
     still-missing groups and every point keeps its stacked engine label.
     """
     del max_workers
-    resolved_points: list[ResolvedScenario] = []
-    for index, point in enumerate(points):
+    kinds = [spec_kind(point) for point in points]
+    resolved_points = []
+    for index, (kind, point) in enumerate(zip(kinds, points)):
         try:
-            resolved_points.append(resolve_scenario(point))
+            resolved_points.append(kind.resolve(point))
+        except SimulatedCrash:
+            raise
         except Exception as error:
             raise SweepPointError(index, point, error) from error
-    results: list[ScenarioResult | None] = [None] * len(points)
-    for group in fusion_groups(resolved_points):
+    groups: list[list[int]] = []
+    for title in dict.fromkeys(kind.title for kind in kinds):
+        indices = [i for i, kind in enumerate(kinds) if kind.title == title]
+        family = kinds[indices[0]].fusion_groups([resolved_points[i] for i in indices])
+        groups.extend([indices[local] for local in group] for group in family)
+    results: list = [None] * len(points)
+    for group in groups:
+        kind = kinds[group[0]]
         try:
             if len(group) == 1:
                 # Nothing to amortize (or unfusable): the serial
                 # reference run, which re-resolves from the spec -
                 # resolution consumes no randomness, so the duplicate
                 # resolution is free of stream effects.
-                group_results = [run_scenario(points[group[0]])]
+                group_results = [kind.run(points[group[0]])]
             else:
-                group_results = _run_fused_group(
-                    [resolved_points[i] for i in group]
-                )
+                group_results = kind.run_group([resolved_points[i] for i in group])
+        except SimulatedCrash:
+            raise
         except Exception as error:
             first = group[0]
             raise SweepPointError(first, points[first], error) from error
@@ -583,7 +676,7 @@ def _run_fused(
             results[index] = result
         if checkpoint is not None:
             checkpoint(list(group), group_results)
-    return results  # type: ignore[return-value]
+    return results
 
 
 Executor = Callable[..., "list | tuple"]
@@ -734,7 +827,7 @@ def run_sweep(
                 sweep=sweep_key(keys),
                 points=total,
                 point_keys=keys,
-                result_from_dict=ScenarioResult.from_dict,
+                result_from_dict=_result_from_dict,
             )
             for index, result in journal.replayed.items():
                 slots[index] = result

@@ -1,8 +1,7 @@
 """Tests for the experiment infrastructure and quick-scale experiment runs.
 
 The heavyweight entropy sweeps run at tiny scale here (small n, few
-trials); the full-scale numbers live in the benchmark suite and
-EXPERIMENTS.md.
+trials); the full-scale numbers live in the benchmark suite.
 """
 
 import pytest

@@ -9,6 +9,7 @@ from repro.scenarios import (
     AdmissionSpec,
     ArrivalSpec,
     ChannelSpec,
+    FaultPlan,
     OpenScenarioResult,
     OpenScenarioSpec,
     OpenSweep,
@@ -17,9 +18,11 @@ from repro.scenarios import (
     RetrySpec,
     ScenarioError,
     WorkloadSpec,
+    make_supervised_executor,
     resolve_open_scenario,
     run_open_scenario,
     run_open_sweep,
+    run_sweep,
 )
 from repro.scenarios import (
     EXAMPLE_OPEN_RETRY_SWEEP,
@@ -521,6 +524,68 @@ class TestFusedSweep:
         )
         shares = {r.elapsed_seconds for r in result.results}
         assert len(shares) == 1 and shares.pop() > 0
+
+
+class TestExecutors:
+    """Open sweeps run on every executor of the shared sweep stack."""
+
+    @pytest.fixture(scope="class")
+    def fused(self):
+        return run_open_sweep(OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP))
+
+    @pytest.mark.parametrize(
+        "executor,workers", [("serial", None), ("process", 2), ("supervised", 2)]
+    )
+    def test_executors_match_the_fused_run(self, fused, executor, workers):
+        sweep = OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP)
+        result = run_sweep(sweep, executor=executor, max_workers=workers)
+        assert (result.executor, result.failures) == (executor, [])
+        assert len(result) == len(fused) == 6
+        for ours, theirs in zip(result.results, fused.results):
+            assert ours.spec == theirs.spec
+            assert ours.engine == theirs.engine
+            assert ours.store == theirs.store
+
+    def test_fused_executor_groups_a_mixed_point_list_per_family(self):
+        from repro.scenarios import ScenarioSpec
+
+        load = OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP).points()[:2]
+        closed = ScenarioSpec.from_dict(
+            {
+                "protocol": {"id": "decay"},
+                "workload": {"kind": "fixed", "params": {"k": 4}},
+                "channel": "nocd",
+                "n": 64,
+                "trials": 20,
+                "max_rounds": 64,
+            }
+        )
+        points = [load[0], closed, load[1], closed.override({"seed": 7})]
+        fused = run_sweep(points, executor="fused")
+        serial = run_sweep(points, executor="serial")
+        assert [r.spec for r in fused.results] == points
+        assert [r.engine for r in fused.results] == [
+            "open-schedule", "fused-schedule", "open-schedule", "fused-schedule",
+        ]
+        for ours, theirs in zip(fused.results, serial.results):
+            if isinstance(ours, OpenScenarioResult):
+                assert ours.store == theirs.store
+            else:
+                assert (ours.rounds, ours.success) == (theirs.rounds, theirs.success)
+
+    def test_supervised_catches_a_corrupted_open_point(self):
+        sweep = OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP)
+        result = run_sweep(
+            sweep,
+            executor=make_supervised_executor(timeout=60.0, retries=0),
+            max_workers=2,
+            fault_plan=FaultPlan(corrupt={1: 1}),
+        )
+        assert len(result) == 5
+        (failure,) = result.failures
+        assert failure["index"] == 1
+        assert "corrupted result" in failure["error"]
+        assert failure["spec"] == sweep.points()[1].to_dict()
 
 
 class TestExamples:

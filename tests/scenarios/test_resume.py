@@ -131,6 +131,24 @@ class TestCrashResumeBitIdentity:
         assert resumed.results == reference.results
         assert resumed.resumed >= 2
 
+    @pytest.mark.parametrize(
+        "executor,engine_call",
+        [("serial", "run_scenario"), ("fused", "estimate_uniform_rounds_many")],
+    )
+    def test_crash_inside_a_point_unwinds_unwrapped(
+        self, tmp_path, monkeypatch, executor, engine_call
+    ):
+        """An injected crash mid-point is a dead driver, not a point error."""
+
+        def crash(*args, **kwargs):
+            raise SimulatedCrash("killed inside a point")
+
+        monkeypatch.setattr(sweep_module, engine_call, crash)
+        journal = tmp_path / "j.jsonl"
+        with pytest.raises(SimulatedCrash, match="killed inside a point"):
+            run_sweep(fused_sweep(), executor=executor, resume=journal)
+        assert len(journal.read_text().splitlines()) == 1  # header only
+
     def test_torn_final_journal_line_reexecutes_that_point(self, tmp_path):
         sweep = serial_sweep()
         reference = run_sweep(sweep, executor="serial")
@@ -256,12 +274,25 @@ class TestOpenSweepDurability:
         reference = run_open_sweep(sweep)
         journal = tmp_path / "j.jsonl"
         run_open_sweep(sweep, resume=journal)
-        # Simulate a crash after the first point: drop the tail.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")
+        # The three points stack into one group, checkpointed as one line.
+        header, line = journal.read_text().splitlines()
+        assert json.loads(header)["kind"] == "header"
+        assert [e["index"] for e in json.loads(line)["entries"]] == [0, 1, 2]
+
+        # A crash mid-write tears the group's line: nothing replays.
+        journal.write_text(header + "\n" + line[: len(line) // 2] + "\n")
         resumed = run_open_sweep(sweep, resume=journal)
-        assert resumed.resumed == 1
+        assert resumed.resumed == 0
         assert resumed.results == reference.results
+        assert [r.store for r in resumed.results] == [
+            r.store for r in reference.results
+        ]
+
+        # With the line whole, the group replays all three points.
+        journal.write_text(header + "\n" + line + "\n")
+        replayed = run_open_sweep(sweep, resume=journal)
+        assert replayed.resumed == 3
+        assert replayed.results == reference.results
 
     def test_warm_cache_serves_open_points(self, tmp_path):
         sweep = open_sweep()

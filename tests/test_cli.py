@@ -453,6 +453,33 @@ class TestOpenCli:
         assert "open sweep: 2 point(s)" in table
         assert "open-schedule" in table and "p99" in table
 
+    def test_sweep_command_runs_open_sweeps_on_the_process_pool(
+        self, tmp_path, capsys
+    ):
+        from repro.scenarios import EXAMPLE_OPEN_RETRY_SWEEP
+
+        sweep = json.loads(json.dumps(EXAMPLE_OPEN_RETRY_SWEEP))
+        sweep["base"].update(trials=4, rounds=96, warmup=16)
+        sweep_path = tmp_path / "retry.json"
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["scenario", "open", "sweep", str(sweep_path), "--json"]) == 0
+        fused = json.loads(capsys.readouterr().out)
+        assert main(
+            ["scenario", "sweep", str(sweep_path), "--executor", "process",
+             "--workers", "2", "--json"]
+        ) == 0
+        pooled = json.loads(capsys.readouterr().out)
+
+        def points(report):
+            return [
+                {k: v for k, v in row.items() if k != "elapsed_seconds"}
+                for row in report["results"]
+            ]
+
+        assert (fused["executor"], pooled["executor"]) == ("fused", "process")
+        assert len(points(pooled)) == 6
+        assert points(pooled) == points(fused)
+
     def test_open_bad_spec_exits_two(self, tmp_path, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SCENARIO
 
