@@ -26,11 +26,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import (
-    ENGINE_FUSED_HISTORY,
-    estimate_uniform_rounds,
-)
+from repro.analysis.montecarlo import estimate_uniform_rounds
 from repro.channel import with_collision_detection
+from repro.channel.routing import ENGINE_FUSED_HISTORY
 from repro.experiments.table1_nocd import entropy_sweep_distributions
 from repro.protocols.willard import WillardProtocol
 from repro.scenarios import run_sweep

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.opensys import ENGINE_OPEN_SCALAR, ENGINE_OPEN_SCHEDULE
+from repro.channel.routing import ENGINE_OPEN_SCALAR, ENGINE_OPEN_SCHEDULE
 from repro.scenarios import run_open_scenario, run_open_sweep
 
 from .opensys_workload import (

@@ -31,20 +31,23 @@ from typing import Protocol
 import numpy as np
 
 from ..channel.batch import (
-    is_batchable,
     run_history_stacked,
     run_schedule_stacked,
     run_uniform_batch,
 )
 from ..channel.batch_players import (
     checked_advice_source,
-    is_player_batchable,
     is_player_fusable,
     run_players_batch,
     run_players_stacked,
 )
 from ..channel.channel import Channel
-from ..channel.models import ChannelModel
+from ..channel.routing import (
+    ENGINE_BATCH_HISTORY,
+    ENGINE_BATCH_PLAYER,
+    ENGINE_BATCH_SCHEDULE,
+    select_engine,
+)
 from ..channel.simulator import _check_channel, run_players, run_uniform
 from ..core.advice import AdviceFunction
 from ..core.protocol import PlayerProtocol, UniformProtocol
@@ -58,16 +61,6 @@ __all__ = [
     "estimate_success_within",
     "estimate_player_rounds",
     "estimate_player_rounds_many",
-    "select_uniform_engine",
-    "select_player_engine",
-    "ENGINE_BATCH_SCHEDULE",
-    "ENGINE_BATCH_HISTORY",
-    "ENGINE_BATCH_PLAYER",
-    "ENGINE_SCALAR_UNIFORM",
-    "ENGINE_SCALAR_PLAYER",
-    "ENGINE_FUSED_SCHEDULE",
-    "ENGINE_FUSED_HISTORY",
-    "ENGINE_FUSED_PLAYER",
 ]
 
 UniformFactory = Callable[[], UniformProtocol] | UniformProtocol
@@ -90,22 +83,7 @@ class SupportsSampleMany(Protocol):
 #: or a bare per-trial callable (always the scalar sampling path).
 SizeSource = int | SupportsSampleMany | Callable[[np.random.Generator], int]
 
-#: Engine labels returned by :func:`select_uniform_engine` /
-#: :func:`select_player_engine` and surfaced in scenario metadata: the
-#: three vectorized batch paths and the two scalar reference loops.
-ENGINE_BATCH_SCHEDULE = "batch-schedule"
-ENGINE_BATCH_HISTORY = "batch-history"
-ENGINE_BATCH_PLAYER = "batch-player"
-ENGINE_SCALAR_UNIFORM = "scalar-uniform"
-ENGINE_SCALAR_PLAYER = "scalar-player"
-
-#: Labels recorded by the fused sweep executor when it stacks several
-#: compatible scenario points into one engine run (statistics stay
-#: bit-identical to the per-point labels above; only the label differs,
-#: recording what actually executed).
-ENGINE_FUSED_SCHEDULE = "fused-schedule"
-ENGINE_FUSED_HISTORY = "fused-history"
-ENGINE_FUSED_PLAYER = "fused-player"
+_UNIFORM_BATCH_ENGINES = (ENGINE_BATCH_SCHEDULE, ENGINE_BATCH_HISTORY)
 
 
 @dataclass(frozen=True)
@@ -171,49 +149,6 @@ def _draw_size_batch(
     return np.asarray([source(rng) for _ in range(trials)], dtype=np.int64)
 
 
-def select_uniform_engine(
-    protocol: UniformFactory,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
-) -> str:
-    """Which execution engine :func:`estimate_uniform_rounds` will use.
-
-    Pure routing (no simulation): :data:`ENGINE_BATCH_SCHEDULE` for
-    batchable protocols that publish their full probability schedule,
-    :data:`ENGINE_BATCH_HISTORY` for feedback-driven protocols with
-    deterministic sessions, :data:`ENGINE_SCALAR_UNIFORM` otherwise
-    (factories, randomized sessions, or ``batch=False``).  Raises
-    ``ValueError`` when ``batch=True`` insists on an impossible batch run,
-    mirroring the estimator.
-
-    ``model`` is the channel's *active* fault model: one that declares
-    itself inexpressible on the uniform batch engines
-    (``batchable=False`` - no in-repo model does anymore, rejoin-delay
-    crashes included) forces the scalar reference loop regardless of
-    protocol capabilities.
-    """
-    batchable = isinstance(protocol, UniformProtocol) and is_batchable(protocol)
-    if model is not None and not model.batchable:
-        if batch is True:
-            raise ValueError(
-                f"batch=True but channel model {model.name!r} only runs on "
-                "the scalar engine (it declares batchable=False)"
-            )
-        return ENGINE_SCALAR_UNIFORM
-    if batch is True and not batchable:
-        raise ValueError(
-            "batch=True requires a batchable UniformProtocol instance "
-            "(got a factory or a randomized-session protocol)"
-        )
-    if batch is not False and batchable:
-        assert isinstance(protocol, UniformProtocol)
-        if protocol.batch_schedule() is not None:
-            return ENGINE_BATCH_SCHEDULE
-        return ENGINE_BATCH_HISTORY
-    return ENGINE_SCALAR_UNIFORM
-
-
 def estimate_uniform_rounds(
     protocol: UniformFactory,
     size_source: SizeSource,
@@ -241,8 +176,8 @@ def estimate_uniform_rounds(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    engine = select_uniform_engine(protocol, batch, model=channel.active_model)
-    if engine != ENGINE_SCALAR_UNIFORM:
+    engine = select_engine(protocol, batch, model=channel.active_model)
+    if engine in _UNIFORM_BATCH_ENGINES:
         assert isinstance(protocol, UniformProtocol)
         ks = _draw_size_batch(size_source, rng, trials)
         result = run_uniform_batch(
@@ -307,16 +242,10 @@ def estimate_uniform_rounds_many(
         )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    model = channel.active_model
-    if model is not None and not model.batchable:
-        raise ValueError(
-            f"channel model {model.name!r} only runs on the scalar engine; "
-            "its points cannot be stacked - estimate them one at a time"
-        )
     engines = set()
     for protocol in protocols:
-        engine = select_uniform_engine(protocol, model=model)
-        if engine == ENGINE_SCALAR_UNIFORM:
+        engine = select_engine(protocol, model=channel.active_model)
+        if engine not in _UNIFORM_BATCH_ENGINES:
             raise ValueError(
                 f"protocol {getattr(protocol, 'name', protocol)!r} cannot "
                 "batch; fuse only batch-schedule or batch-history points"
@@ -381,46 +310,6 @@ def estimate_success_within(
     return estimate.success
 
 
-def select_player_engine(
-    protocol: PlayerProtocol,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
-) -> str:
-    """Which execution engine :func:`estimate_player_rounds` will use.
-
-    Pure routing (no simulation), mirroring :func:`select_uniform_engine`
-    exactly: :data:`ENGINE_BATCH_PLAYER` for protocols implementing the
-    :meth:`~repro.core.protocol.PlayerProtocol.batch_sessions` capability
-    hook, :data:`ENGINE_SCALAR_PLAYER` otherwise (non-batchable
-    combinators, or ``batch=False``).  Raises ``ValueError`` when
-    ``batch=True`` insists on an impossible batch run.
-
-    ``model`` is the channel's *active* fault model: one the batch
-    player engine cannot express (``player_batchable=False`` - a crash
-    model with a non-zero rejoin delay, whose leave/rejoin transition
-    has no vectorized form) forces the scalar per-player loop regardless
-    of protocol capabilities.
-    """
-    batchable = is_player_batchable(protocol)
-    if model is not None and not model.player_batchable:
-        if batch is True:
-            raise ValueError(
-                f"batch=True but channel model {model.name!r} only runs on "
-                "the scalar engine (a non-zero crash rejoin delay changes "
-                "the live participant set mid-trial)"
-            )
-        return ENGINE_SCALAR_PLAYER
-    if batch is True and not batchable:
-        raise ValueError(
-            "batch=True requires a player protocol with batch sessions "
-            f"({protocol.name!r} supports only the scalar per-player loop)"
-        )
-    if batch is not False and batchable:
-        return ENGINE_BATCH_PLAYER
-    return ENGINE_SCALAR_PLAYER
-
-
 def estimate_player_rounds(
     protocol: PlayerProtocol,
     participant_source: Callable[[np.random.Generator], frozenset[int]],
@@ -452,7 +341,7 @@ def estimate_player_rounds(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    engine = select_player_engine(protocol, batch, model=channel.active_model)
+    engine = select_engine(protocol, batch, model=channel.active_model)
     if engine == ENGINE_BATCH_PLAYER:
         participant_sets = [participant_source(rng) for _ in range(trials)]
         result = run_players_batch(
@@ -525,7 +414,7 @@ def estimate_player_rounds_many(
         raise ValueError(f"trials must be >= 1, got {trials}")
     model = channel.active_model
     if model is not None and (
-        not model.player_batchable or model.needs_fault_draws
+        model.shrinks_population or model.needs_fault_draws
     ):
         raise ValueError(
             f"channel model {model.name!r} cannot run on the stacked "

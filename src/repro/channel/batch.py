@@ -87,7 +87,7 @@ from ..core.protocol import (
     UniformSession,
 )
 from .channel import Channel
-from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
+from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS
 from .simulator import DEFAULT_MAX_ROUNDS, _check_channel
 from .trace import BatchExecutionResult
 
@@ -143,7 +143,6 @@ def run_uniform_batch(
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
     _check_channel(protocol.requires_collision_detection, channel)
-    _check_model_batchable(channel.active_model)
 
     schedule = protocol.batch_schedule()
     if schedule is not None:
@@ -154,22 +153,6 @@ def run_uniform_batch(
             "scalar engine (run_uniform) instead"
         )
     return _run_history_batch(protocol, ks, rng, channel, max_rounds)
-
-
-def _check_model_batchable(model: ChannelModel | None) -> None:
-    """Reject models that declare themselves inexpressible here.
-
-    Every in-repo model is now batchable on the uniform engines -
-    population-shrinking crash variants run through the per-trial
-    :meth:`~repro.channel.models.BatchFaultState.active_counts` band
-    path - so this guards only third-party models opting out.
-    """
-    if model is not None and not model.batchable:
-        raise ValueError(
-            f"channel model {model.name!r} declares itself inexpressible "
-            "on the stacked uniform engines (batchable=False); use the "
-            "scalar engine (run_uniform) instead"
-        )
 
 
 def _run_schedule_batch(
@@ -399,7 +382,6 @@ def run_schedule_stacked(
     horizons = np.asarray([s.horizon(max_rounds) for s in schedules])
 
     model = channel.active_model if channel is not None else None
-    _check_model_batchable(model)
 
     total = int(trials.sum())
     solved = np.zeros(total, dtype=bool)
@@ -774,7 +756,6 @@ def run_history_stacked(
     trials = np.asarray([ks.size for ks in ks_arrays])
 
     model = channel.active_model
-    _check_model_batchable(model)
 
     total = int(trials.sum())
     solved = np.zeros(total, dtype=bool)

@@ -57,20 +57,22 @@ Every model exposes two execution-side views:
   generator; deterministic jammers receive ``None`` and consume no
   randomness at all.
 
-Routing is driven by capability properties, not model names:
+Every model runs on the uniform engines.  Routing
+(:func:`repro.channel.routing.select_engine` and the fused sweep
+executor) reads three capability properties, not model names:
 
-* :attr:`ChannelModel.batchable` - whether the stacked *uniform* engines
-  can express the model.  Models that shrink the live participant count
-  (:attr:`ChannelModel.shrinks_population`, the rejoin-delay crash
-  variants) additionally make the engines compute per-trial band edges
-  from :meth:`BatchFaultState.active_counts` instead of the static
-  ``(point, k)`` tables.
-* :attr:`ChannelModel.player_batchable` - whether the batch *player*
-  engine can express the model.  The rejoin-delay crash variants cannot:
-  the player engine holds per-``(trial, player)`` session state and has
-  no vectorized leave/rejoin-with-a-fresh-session transition, so they
-  route to the scalar per-player loop (the Monte Carlo router and the
-  fused sweep executor honour this automatically).
+* :attr:`ChannelModel.shrinks_population` - whether the live participant
+  count can drop mid-trial (the rejoin-delay crash variants).  The
+  uniform engines then compute per-trial band edges from
+  :meth:`BatchFaultState.active_counts` instead of the static
+  ``(point, k)`` tables.  The batch *player* engine cannot express it:
+  it holds per-``(trial, player)`` session state and has no vectorized
+  leave/rejoin-with-a-fresh-session transition, so player protocols
+  route to the scalar per-player loop.  No open engine can express it
+  either.
+* :attr:`ChannelModel.needs_fault_draws` - whether the batch state
+  consumes engine randomness (see above); the stacked player engine runs
+  without a generator, so such models never fuse player points.
 * :attr:`ChannelModel.fusable` - whether the fused sweep executor may
   stack points carrying this model into one engine run.  Adaptive
   adversaries opt out: each point keeps its own adversary, solo, so the
@@ -208,28 +210,14 @@ class ChannelModel(abc.ABC):
         """Whether these parameters make the model a provable no-op."""
 
     @property
-    def batchable(self) -> bool:
-        """Whether the stacked *uniform* engines can express this model."""
-        return True
-
-    @property
-    def player_batchable(self) -> bool:
-        """Whether the batch *player* engine can express this model.
-
-        Defaults to :attr:`batchable`; the rejoin-delay crash variants
-        override it - the player engine has no vectorized
-        leave/rejoin-with-a-fresh-session transition, so they keep the
-        scalar per-player loop as their reference engine.
-        """
-        return self.batchable
-
-    @property
     def shrinks_population(self) -> bool:
         """Whether the live participant count can drop mid-trial.
 
         When True the uniform batch engines bypass their static
         ``(point, k)`` band tables and compute per-trial band edges from
-        :meth:`BatchFaultState.active_counts` each round.
+        :meth:`BatchFaultState.active_counts` each round, and player
+        protocols route to the scalar per-player loop (the player engine
+        has no vectorized leave/rejoin-with-a-fresh-session transition).
         """
         return False
 
@@ -985,7 +973,7 @@ class CrashModel(ChannelModel):
     ``rejoin_after`` controls what happens to the player itself:
 
     * ``0`` - the player survives; only the message was lost.  This is
-      the batchable form (it is exactly a success erasure).
+      the population-preserving form (it is exactly a success erasure).
     * ``d > 0`` - the player leaves the execution for ``d`` rounds and
       rejoins with a **fresh** session (a restart, not a resume).
     * ``None`` (default) - the player never returns.
@@ -996,8 +984,7 @@ class CrashModel(ChannelModel):
     :meth:`BatchFaultState.active_counts`, with the scalar loop as the
     statistical oracle); the batch *player* engine cannot - it has no
     vectorized leave/rejoin-with-a-fresh-session transition - so those
-    variants are :attr:`player_batchable` ``= False`` and route player
-    protocols to the scalar per-player loop.
+    variants route player protocols to the scalar per-player loop.
     """
 
     name: ClassVar[str] = "crash"
@@ -1009,10 +996,6 @@ class CrashModel(ChannelModel):
         _check_probability(self.probability, "crash probability")
         if self.rejoin_after is not None:
             _check_count(self.rejoin_after, "rejoin delay", 0)
-
-    @property
-    def player_batchable(self) -> bool:
-        return self.rejoin_after == 0
 
     @property
     def shrinks_population(self) -> bool:

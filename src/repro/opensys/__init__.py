@@ -30,15 +30,7 @@ from .arrivals import (
     ZipfHotspotArrivals,
     arrival_process_from_dict,
 )
-from .driver import (
-    ENGINE_OPEN_HISTORY,
-    ENGINE_OPEN_SCALAR,
-    ENGINE_OPEN_SCHEDULE,
-    OpenMember,
-    OpenRunResult,
-    run_open,
-    select_open_engine,
-)
+from .driver import OpenMember, OpenRunResult, run_open
 from .latency import LatencyStore, LatencySummary
 from .policies import (
     ADMISSION_POLICIES,
@@ -63,13 +55,9 @@ __all__ = [
     "ThinnedArrivals",
     "ZipfHotspotArrivals",
     "arrival_process_from_dict",
-    "ENGINE_OPEN_HISTORY",
-    "ENGINE_OPEN_SCALAR",
-    "ENGINE_OPEN_SCHEDULE",
     "OpenMember",
     "OpenRunResult",
     "run_open",
-    "select_open_engine",
     "LatencyStore",
     "LatencySummary",
     "ADMISSION_POLICIES",

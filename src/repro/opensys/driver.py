@@ -134,9 +134,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel.batch import _arena_for_run, _check_model_batchable, _run_tokens
+from ..channel.batch import _arena_for_run, _run_tokens
 from ..channel.channel import Channel
 from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
+from ..channel.routing import (
+    ENGINE_OPEN_HISTORY,
+    ENGINE_OPEN_SCHEDULE,
+    select_engine,
+)
 from ..channel.simulator import _check_channel
 from ..core.feedback import Observation
 from ..core.protocol import (
@@ -158,18 +163,10 @@ from .policies import (
 )
 
 __all__ = [
-    "ENGINE_OPEN_SCHEDULE",
-    "ENGINE_OPEN_HISTORY",
-    "ENGINE_OPEN_SCALAR",
     "OpenMember",
     "OpenRunResult",
-    "select_open_engine",
     "run_open",
 ]
-
-ENGINE_OPEN_SCHEDULE = "open-schedule"
-ENGINE_OPEN_HISTORY = "open-history"
-ENGINE_OPEN_SCALAR = "open-scalar"
 
 #: Rounds of arrivals and channel uniforms pre-drawn per trial at each
 #: absolute block boundary (rounds 1, 1+B, 1+2B, ...).  Boundaries and
@@ -282,51 +279,6 @@ class _RowSplit:
             totals = np.add.reduceat(per_row, self.bounds[:-1])
             for store, total in zip(self.stores, totals.tolist()):
                 setattr(store, name, getattr(store, name) + total)
-
-
-def select_open_engine(
-    protocol: UniformProtocol,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
-) -> str:
-    """The open engine that will execute ``protocol``.
-
-    ``batch=None`` auto-selects (vectorized when the protocol supports
-    it), ``False`` forces the scalar oracle, ``True`` insists on a
-    vectorized engine and raises where none applies.  Mirrors
-    :func:`repro.analysis.montecarlo.select_uniform_engine`, except that
-    an inexpressible fault model is an error rather than a scalar
-    fallback: a population-shrinking model (crash with a non-zero rejoin
-    delay) has no meaning when the live count *is* the arrival process.
-    Retry/admission policies never affect routing - the lifecycle runs
-    identically on every engine.
-    """
-    if not isinstance(protocol, UniformProtocol):
-        raise ValueError(
-            "the open-system driver runs uniform protocols only; "
-            f"got {type(protocol).__name__}"
-        )
-    _check_model_batchable(model)
-    if model is not None and model.shrinks_population:
-        raise ValueError(
-            f"channel model {model.name!r} shrinks the live population "
-            "(a crash with a non-zero rejoin delay); the open population "
-            "is the arrival process itself, so no open engine can "
-            "express it"
-        )
-    if batch is False:
-        return ENGINE_OPEN_SCALAR
-    if protocol.batch_schedule() is not None:
-        return ENGINE_OPEN_SCHEDULE
-    if protocol.deterministic_sessions:
-        return ENGINE_OPEN_HISTORY
-    if batch is True:
-        raise ValueError(
-            f"protocol {protocol.name!r} has randomized sessions; only the "
-            "scalar open engine can execute it (pass batch=None or False)"
-        )
-    return ENGINE_OPEN_SCALAR
 
 
 def _trial_streams(
@@ -1227,7 +1179,7 @@ def run_open(
         )
     _check_channel(protocol.requires_collision_detection, channel)
     model = channel.active_model
-    engine = select_open_engine(protocol, batch, model=model)
+    engine = select_engine(protocol, batch, model=model, open_system=True)
 
     processes = [
         member.arrivals.clone()

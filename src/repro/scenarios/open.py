@@ -31,14 +31,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
 from ..channel.channel import Channel
+from ..channel.routing import ENGINE_OPEN_SCALAR, select_engine
 from ..core.protocol import UniformProtocol
 from ..opensys.arrivals import ArrivalProcess, arrival_process_from_dict
-from ..opensys.driver import (
-    ENGINE_OPEN_SCALAR,
-    OpenMember,
-    run_open,
-    select_open_engine,
-)
+from ..opensys.driver import OpenMember, run_open
 from ..opensys.latency import LatencyStore, LatencySummary
 from ..opensys.policies import (
     AdmissionPolicy,
@@ -426,8 +422,8 @@ def resolve_open_scenario(spec: OpenScenarioSpec) -> ResolvedOpenScenario:
     )
     assert isinstance(protocol, UniformProtocol)
     try:
-        engine = select_open_engine(
-            protocol, spec.batch, model=channel.active_model
+        engine = select_engine(
+            protocol, spec.batch, model=channel.active_model, open_system=True
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.metrics import ProportionEstimate, Summary
-from ..analysis.montecarlo import (
-    estimate_player_rounds,
-    estimate_uniform_rounds,
-    select_player_engine,
-    select_uniform_engine,
-)
+from ..analysis.montecarlo import estimate_player_rounds, estimate_uniform_rounds
 from ..channel.channel import Channel
 from ..channel.network import (
     Adversary,
@@ -46,6 +41,7 @@ from ..channel.network import (
     SpreadAdversary,
     SuffixAdversary,
 )
+from ..channel.routing import select_engine
 from ..core.advice import (
     AdviceFunction,
     FullIdAdvice,
@@ -283,7 +279,7 @@ class ResolvedScenario:
     channel: Channel
     kind: str  # registry kind: "uniform" or "player"
     protocol: object  # UniformProtocol | PlayerProtocol
-    engine: str  # the per-point engine select_*_engine chose
+    engine: str  # the per-point engine select_engine chose
     size_source: object  # int | SupportsSampleMany | callable
     advice: AdviceFunction | None = None
     adversary: object | None = None
@@ -319,7 +315,8 @@ def resolve_scenario(
     """Resolve a spec into the objects :func:`run_scenario` would execute.
 
     Raises :class:`ScenarioError` for anything a run would reject -
-    unknown ids, missing predictions, advice on uniform protocols - so
+    unknown ids, missing predictions, advice on uniform protocols, a
+    ``batch: true`` no vectorized engine can honour - so
     callers (the fused executor, validation tooling) fail before any
     point has consumed randomness.
     """
@@ -337,7 +334,6 @@ def resolve_scenario(
     entry = get_protocol(spec.protocol.id)
     context = BuildContext(n=spec.n, prediction=prediction)
     protocol = build_protocol(spec.protocol, context)
-
     if entry.kind == PLAYER:
         assert isinstance(protocol, PlayerProtocol)
         if not isinstance(size_source, int):
@@ -346,34 +342,32 @@ def resolve_scenario(
                 f"workload (the adversary picks *which* k ids participate); "
                 f"got workload kind {spec.workload.kind!r}"
             )
-        return ResolvedScenario(
-            spec=spec,
-            rng=rng,
-            channel=channel,
-            kind=entry.kind,
-            protocol=protocol,
-            engine=select_player_engine(
-                protocol, spec.batch, model=channel.active_model
-            ),
-            size_source=size_source,
-            advice=_resolve_advice(spec.advice, spec.n, rng),
-            adversary=_resolve_adversary(spec.adversary),
-        )
-    if spec.advice is not None:
+    elif spec.advice is not None:
         raise ScenarioError(
             f"uniform protocol {spec.protocol.id!r} takes no advice spec "
             "(advice is a player-protocol input)"
         )
+    try:
+        engine = select_engine(protocol, spec.batch, model=channel.active_model)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    player_inputs = (
+        dict(
+            advice=_resolve_advice(spec.advice, spec.n, rng),
+            adversary=_resolve_adversary(spec.adversary),
+        )
+        if entry.kind == PLAYER
+        else {}
+    )
     return ResolvedScenario(
         spec=spec,
         rng=rng,
         channel=channel,
         kind=entry.kind,
         protocol=protocol,
-        engine=select_uniform_engine(
-            protocol, spec.batch, model=channel.active_model
-        ),
+        engine=engine,
         size_source=size_source,
+        **player_inputs,
     )
 
 

@@ -64,15 +64,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.montecarlo import (
-    ENGINE_BATCH_HISTORY,
-    ENGINE_BATCH_PLAYER,
-    ENGINE_BATCH_SCHEDULE,
-    ENGINE_FUSED_HISTORY,
-    ENGINE_FUSED_PLAYER,
-    ENGINE_FUSED_SCHEDULE,
     estimate_player_rounds_many,
     estimate_uniform_rounds_many,
 )
+from ..channel.routing import ENGINE_BATCH_PLAYER, FUSED_ENGINES
 from .faults import FaultPlan, SimulatedCrash
 from .runner import (
     ResolvedScenario,
@@ -214,10 +209,11 @@ class Sweep:
     override paths (see
     :meth:`ScenarioSpec.override`) to value lists; points are the
     cartesian product in row-major order (last key varies fastest).
-    With ``vary_seed`` (default), each point's seed is offset by its
-    index unless the grid itself sweeps ``seed`` - the derived seed is
-    *part of the point's spec*, so a point re-run from its serialized
-    form reproduces identically.
+    With ``vary_seed`` (default), each point gets its own seed from
+    :func:`derive_point_seeds` (an independent child of the base seed)
+    unless the grid itself sweeps ``seed`` - the derived seed is *part of
+    the point's spec*, so a point re-run from its serialized form
+    reproduces identically.
     """
 
     base: "ScenarioSpec | OpenScenarioSpec"
@@ -528,9 +524,12 @@ def fusion_key(resolved: ResolvedScenario) -> tuple | None:
     """
     spec = resolved.spec
     model = resolved.channel.active_model
-    if model is not None and not model.fusable:
+    if resolved.engine not in FUSED_ENGINES or (
+        model is not None and not model.fusable
+    ):
         return None
     shared = (
+        resolved.engine,
         spec.trials,
         spec.max_rounds,
         spec.channel.collision_detection,
@@ -538,28 +537,20 @@ def fusion_key(resolved: ResolvedScenario) -> tuple | None:
         if model is not None
         else None,
     )
-    if resolved.engine == ENGINE_BATCH_SCHEDULE:
-        return ("schedule",) + shared
-    if resolved.engine == ENGINE_BATCH_HISTORY:
-        return ("history",) + shared
-    if (
-        resolved.engine == ENGINE_BATCH_PLAYER
-        and resolved.protocol.supports_fused_sessions()
-        and (model is None or not model.needs_fault_draws)
+    if resolved.engine != ENGINE_BATCH_PLAYER:
+        return shared
+    if not resolved.protocol.supports_fused_sessions() or (
+        model is not None and model.needs_fault_draws
     ):
-        return (
-            ("player",)
-            + shared
-            + (
-                spec.n,
-                json.dumps(spec.protocol.to_dict(), sort_keys=True),
-                json.dumps(
-                    spec.prediction.to_dict() if spec.prediction else None,
-                    sort_keys=True,
-                ),
-            )
-        )
-    return None
+        return None
+    return shared + (
+        spec.n,
+        json.dumps(spec.protocol.to_dict(), sort_keys=True),
+        json.dumps(
+            spec.prediction.to_dict() if spec.prediction else None,
+            sort_keys=True,
+        ),
+    )
 
 
 def fusion_groups(
@@ -603,7 +594,6 @@ def _run_fused_group(
             trials=spec.trials,
             max_rounds=spec.max_rounds,
         )
-        label = ENGINE_FUSED_PLAYER
     else:
         estimates = estimate_uniform_rounds_many(
             [resolved.protocol for resolved in members],
@@ -613,11 +603,7 @@ def _run_fused_group(
             trials=spec.trials,
             max_rounds=spec.max_rounds,
         )
-        label = (
-            ENGINE_FUSED_HISTORY
-            if first.engine == ENGINE_BATCH_HISTORY
-            else ENGINE_FUSED_SCHEDULE
-        )
+    label = FUSED_ENGINES[first.engine]
     # One stacked run has no meaningful per-point wall clock; record the
     # group's amortized share so sweep totals still add up.
     share = (time.perf_counter() - started) / len(members)

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import (
+from repro.analysis.montecarlo import estimate_player_rounds
+from repro.channel.channel import with_collision_detection
+from repro.channel.models import CrashModel
+from repro.channel.network import RandomAdversary
+from repro.channel.routing import (
     ENGINE_BATCH_HISTORY,
     ENGINE_BATCH_PLAYER,
     ENGINE_BATCH_SCHEDULE,
     ENGINE_SCALAR_PLAYER,
     ENGINE_SCALAR_UNIFORM,
-    estimate_player_rounds,
-    select_player_engine,
-    select_uniform_engine,
+    select_engine,
 )
-from repro.channel.channel import with_collision_detection
-from repro.channel.network import RandomAdversary
 from repro.protocols.adapters import UniformAsPlayerProtocol
 from repro.protocols.backoff import BinaryExponentialBackoff
 from repro.protocols.decay import DecayProtocol
@@ -24,26 +24,26 @@ from repro.protocols.willard import WillardProtocol
 
 class TestSelectUniformEngine:
     def test_schedule_protocols_hit_the_schedule_engine(self):
-        assert select_uniform_engine(DecayProtocol(256)) == ENGINE_BATCH_SCHEDULE
+        assert select_engine(DecayProtocol(256)) == ENGINE_BATCH_SCHEDULE
 
     def test_cd_search_hits_the_history_engine(self):
-        assert select_uniform_engine(WillardProtocol(256)) == ENGINE_BATCH_HISTORY
+        assert select_engine(WillardProtocol(256)) == ENGINE_BATCH_HISTORY
 
     def test_batch_false_forces_scalar(self):
         assert (
-            select_uniform_engine(DecayProtocol(256), False)
+            select_engine(DecayProtocol(256), False)
             == ENGINE_SCALAR_UNIFORM
         )
 
     def test_factories_run_scalar(self):
         assert (
-            select_uniform_engine(lambda: DecayProtocol(256))
+            select_engine(lambda: DecayProtocol(256))
             == ENGINE_SCALAR_UNIFORM
         )
 
     def test_batch_true_on_factory_raises(self):
         with pytest.raises(ValueError, match="batch=True"):
-            select_uniform_engine(lambda: DecayProtocol(256), True)
+            select_engine(lambda: DecayProtocol(256), True)
 
 
 def _fallback_protocol() -> FallbackPlayerProtocol:
@@ -57,17 +57,17 @@ def _fallback_protocol() -> FallbackPlayerProtocol:
 
 
 class TestSelectPlayerEngine:
-    """select_player_engine mirrors select_uniform_engine semantics."""
+    """Player protocols follow the uniform ``batch`` semantics."""
 
     def test_batchable_protocols_hit_the_player_engine(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff())
+            select_engine(BinaryExponentialBackoff())
             == ENGINE_BATCH_PLAYER
         )
 
     def test_batch_false_forces_scalar(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff(), False)
+            select_engine(BinaryExponentialBackoff(), False)
             == ENGINE_SCALAR_PLAYER
         )
 
@@ -77,14 +77,14 @@ class TestSelectPlayerEngine:
             UniformAsPlayerProtocol(WillardProtocol(64)),
             budget_rounds=16,
         )
-        assert select_player_engine(protocol) == ENGINE_BATCH_PLAYER
+        assert select_engine(protocol) == ENGINE_BATCH_PLAYER
 
     def test_non_batchable_combinators_run_scalar(self):
-        assert select_player_engine(_fallback_protocol()) == ENGINE_SCALAR_PLAYER
+        assert select_engine(_fallback_protocol()) == ENGINE_SCALAR_PLAYER
 
     def test_batch_true_on_non_batchable_raises(self):
         with pytest.raises(ValueError, match="batch=True"):
-            select_player_engine(_fallback_protocol(), True)
+            select_engine(_fallback_protocol(), True)
 
 
 class TestPlayerBatchContract:
@@ -124,3 +124,106 @@ class TestPlayerBatchContract:
         protocol = _fallback_protocol()
         auto = self._estimate(None, protocol=protocol)
         assert auto.rounds == self._estimate(False, protocol=protocol).rounds
+
+
+_PROTOCOLS = {
+    "decay": lambda: DecayProtocol(256),
+    "willard": lambda: WillardProtocol(256),
+    "factory": lambda: (lambda: DecayProtocol(256)),
+    "backoff": BinaryExponentialBackoff,
+    "fallback": _fallback_protocol,
+}
+_MODELS = {
+    "faithful": None,
+    "crash-instant": CrashModel(0.5, rejoin_after=0),
+    "crash-rejoin": CrashModel(0.5, rejoin_after=2),
+}
+
+#: A refusal: ``select_engine`` raises ValueError matching the fragment.
+UNIFORM_ONLY = (ValueError, "uniform protocols only")
+ARRIVALS = (ValueError, "arrival process")
+NOT_BATCHABLE = (ValueError, "batch=True")
+REJOIN = (ValueError, "rejoin")
+
+#: (protocol, model, open_system) -> outcome for batch = None, False, True.
+#: Written out by hand from the documented routing rules, not derived.
+ROUTING_MATRIX = [
+    # Closed runs: no model changes a uniform protocol's engine.
+    ("decay", "faithful", False,
+     ("batch-schedule", "scalar-uniform", "batch-schedule")),
+    ("decay", "crash-instant", False,
+     ("batch-schedule", "scalar-uniform", "batch-schedule")),
+    ("decay", "crash-rejoin", False,
+     ("batch-schedule", "scalar-uniform", "batch-schedule")),
+    ("willard", "faithful", False,
+     ("batch-history", "scalar-uniform", "batch-history")),
+    ("willard", "crash-instant", False,
+     ("batch-history", "scalar-uniform", "batch-history")),
+    ("willard", "crash-rejoin", False,
+     ("batch-history", "scalar-uniform", "batch-history")),
+    ("factory", "faithful", False,
+     ("scalar-uniform", "scalar-uniform", NOT_BATCHABLE)),
+    ("factory", "crash-instant", False,
+     ("scalar-uniform", "scalar-uniform", NOT_BATCHABLE)),
+    ("factory", "crash-rejoin", False,
+     ("scalar-uniform", "scalar-uniform", NOT_BATCHABLE)),
+    # Closed runs: a rejoin delay sends player protocols to the scalar loop.
+    ("backoff", "faithful", False,
+     ("batch-player", "scalar-player", "batch-player")),
+    ("backoff", "crash-instant", False,
+     ("batch-player", "scalar-player", "batch-player")),
+    ("backoff", "crash-rejoin", False,
+     ("scalar-player", "scalar-player", REJOIN)),
+    ("fallback", "faithful", False,
+     ("scalar-player", "scalar-player", NOT_BATCHABLE)),
+    ("fallback", "crash-instant", False,
+     ("scalar-player", "scalar-player", NOT_BATCHABLE)),
+    ("fallback", "crash-rejoin", False,
+     ("scalar-player", "scalar-player", REJOIN)),
+    # Open runs: uniform instances only, and never under a rejoin delay.
+    ("decay", "faithful", True,
+     ("open-schedule", "open-scalar", "open-schedule")),
+    ("decay", "crash-instant", True,
+     ("open-schedule", "open-scalar", "open-schedule")),
+    ("decay", "crash-rejoin", True, (ARRIVALS, ARRIVALS, ARRIVALS)),
+    ("willard", "faithful", True,
+     ("open-history", "open-scalar", "open-history")),
+    ("willard", "crash-instant", True,
+     ("open-history", "open-scalar", "open-history")),
+    ("willard", "crash-rejoin", True, (ARRIVALS, ARRIVALS, ARRIVALS)),
+    ("factory", "faithful", True, (UNIFORM_ONLY,) * 3),
+    ("factory", "crash-instant", True, (UNIFORM_ONLY,) * 3),
+    ("factory", "crash-rejoin", True, (UNIFORM_ONLY,) * 3),
+    ("backoff", "faithful", True, (UNIFORM_ONLY,) * 3),
+    ("backoff", "crash-instant", True, (UNIFORM_ONLY,) * 3),
+    ("backoff", "crash-rejoin", True, (UNIFORM_ONLY,) * 3),
+    ("fallback", "faithful", True, (UNIFORM_ONLY,) * 3),
+    ("fallback", "crash-instant", True, (UNIFORM_ONLY,) * 3),
+    ("fallback", "crash-rejoin", True, (UNIFORM_ONLY,) * 3),
+]
+
+
+class TestRoutingMatrix:
+    """Every protocol kind x batch x fault model x closed/open."""
+
+    def test_matrix_covers_every_combination(self):
+        cells = {(p, m, o) for p, m, o, _ in ROUTING_MATRIX}
+        assert len(cells) == len(ROUTING_MATRIX) == 5 * 3 * 2
+
+    @pytest.mark.parametrize(
+        "protocol,model,open_system,outcomes",
+        ROUTING_MATRIX,
+        ids=[f"{p}-{m}-{'open' if o else 'closed'}" for p, m, o, _ in ROUTING_MATRIX],
+    )
+    def test_route(self, protocol, model, open_system, outcomes):
+        for batch, expected in zip((None, False, True), outcomes):
+            call = dict(model=_MODELS[model], open_system=open_system)
+            if isinstance(expected, str):
+                assert (
+                    select_engine(_PROTOCOLS[protocol](), batch, **call)
+                    == expected
+                ), batch
+            else:
+                error, fragment = expected
+                with pytest.raises(error, match=fragment):
+                    select_engine(_PROTOCOLS[protocol](), batch, **call)

@@ -24,12 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import (
-    ENGINE_BATCH_PLAYER,
-    ENGINE_SCALAR_PLAYER,
-    estimate_player_rounds,
-    select_player_engine,
-)
+from repro.analysis.montecarlo import estimate_player_rounds
 from repro.channel import (
     is_player_batchable,
     is_player_fusable,
@@ -51,6 +46,11 @@ from repro.channel.network import (
     RandomAdversary,
     SpreadAdversary,
     SuffixAdversary,
+)
+from repro.channel.routing import (
+    ENGINE_BATCH_PLAYER,
+    ENGINE_SCALAR_PLAYER,
+    select_engine,
 )
 from repro.core.advice import (
     AdviceFunction,
@@ -665,11 +665,11 @@ class TestMonteCarloWiring:
 
     def test_select_player_engine_routing(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff())
+            select_engine(BinaryExponentialBackoff())
             == ENGINE_BATCH_PLAYER
         )
         assert (
-            select_player_engine(BinaryExponentialBackoff(), False)
+            select_engine(BinaryExponentialBackoff(), False)
             == ENGINE_SCALAR_PLAYER
         )
         # The fallback combinator batches when both halves do...
@@ -678,16 +678,16 @@ class TestMonteCarloWiring:
             UniformAsPlayerProtocol(WillardProtocol(N)),
             budget_rounds=16,
         )
-        assert select_player_engine(batchable) == ENGINE_BATCH_PLAYER
+        assert select_engine(batchable) == ENGINE_BATCH_PLAYER
         # ...and stays scalar when a half cannot (randomized sessions).
         fallback = FallbackPlayerProtocol(
             DeterministicTreeDescentProtocol(0),
             UniformAsPlayerProtocol(RestartProtocol(lambda: WillardProtocol(N))),
             budget_rounds=16,
         )
-        assert select_player_engine(fallback) == ENGINE_SCALAR_PLAYER
+        assert select_engine(fallback) == ENGINE_SCALAR_PLAYER
         with pytest.raises(ValueError, match="batch=True"):
-            select_player_engine(fallback, True)
+            select_engine(fallback, True)
 
 
 class TestAdversarialPlayers:

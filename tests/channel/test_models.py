@@ -22,7 +22,19 @@ from repro.channel.models import (
     channel_model_from_dict,
     register_adaptive_strategy,
 )
+from repro.channel.routing import select_engine
 from repro.core.feedback import Feedback
+from repro.protocols.backoff import BinaryExponentialBackoff
+from repro.protocols.decay import DecayProtocol
+
+
+def closed_routes(model: ChannelModel) -> tuple[str, str]:
+    """The engines a batch=True decay point and an auto-routed backoff
+    point take under ``model``."""
+    return (
+        select_engine(DecayProtocol(256), True, model=model),
+        select_engine(BinaryExponentialBackoff(), model=model),
+    )
 
 
 class TestObliviousJammer:
@@ -56,7 +68,8 @@ class TestObliviousJammer:
         assert ObliviousJammer(budget=0).is_null()
         assert not ObliviousJammer(budget=1).is_null()
         model = ObliviousJammer(budget=1)
-        assert model.batchable and not model.needs_fault_draws
+        assert closed_routes(model) == ("batch-schedule", "batch-player")
+        assert not model.needs_fault_draws
 
     def test_validation(self):
         with pytest.raises(ValueError, match="jam budget must be >= 0"):
@@ -204,15 +217,15 @@ class TestCrashModel:
         instant-rejoin variant keeps the population fixed, so only it is
         admissible on the player/open substrates."""
         instant = CrashModel(probability=0.5, rejoin_after=0)
-        assert instant.batchable and instant.player_batchable
+        assert closed_routes(instant) == ("batch-schedule", "batch-player")
         assert not instant.shrinks_population
 
         for delayed in (
             CrashModel(probability=0.5, rejoin_after=1),
             CrashModel(probability=0.5),  # rejoin_after=None: dead forever
         ):
-            assert delayed.batchable and delayed.shrinks_population
-            assert not delayed.player_batchable
+            assert delayed.shrinks_population
+            assert closed_routes(delayed) == ("batch-schedule", "scalar-player")
             assert delayed.batch_state(4) is not None
 
     def test_rejoin_batch_state_tracks_active_counts(self):
@@ -329,7 +342,7 @@ class TestAdaptiveAdversary:
         assert AdaptiveAdversary(budget=0).is_null()
         model = AdaptiveAdversary(budget=3, strategy="scheduler", mode="front")
         assert not model.is_null()
-        assert model.batchable and model.player_batchable
+        assert closed_routes(model) == ("batch-schedule", "batch-player")
         assert not model.needs_fault_draws
         assert not model.fusable  # deliberate fusion opt-out
 

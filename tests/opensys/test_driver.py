@@ -17,10 +17,13 @@ from repro.channel import (
     with_collision_detection,
     without_collision_detection,
 )
-from repro.opensys import (
+from repro.channel.routing import (
     ENGINE_OPEN_HISTORY,
     ENGINE_OPEN_SCALAR,
     ENGINE_OPEN_SCHEDULE,
+    select_engine,
+)
+from repro.opensys import (
     ArrivalProcess,
     ExponentialBackoffPolicy,
     GiveUpPolicy,
@@ -32,7 +35,6 @@ from repro.opensys import (
     TokenBucketPolicy,
     ZipfHotspotArrivals,
     run_open,
-    select_open_engine,
 )
 from repro.core.protocol import ProtocolError
 from repro.protocols.decay import DecayProtocol
@@ -68,22 +70,29 @@ def run_pair(protocol, channel, *, arrivals=None, **kwargs):
 class TestEngineSelection:
     def test_schedule_protocol_routes_to_open_schedule(self):
         assert (
-            select_open_engine(DecayProtocol(N)) == ENGINE_OPEN_SCHEDULE
+            select_engine(DecayProtocol(N), open_system=True)
+            == ENGINE_OPEN_SCHEDULE
         )
 
     def test_history_protocol_routes_to_open_history(self):
-        assert select_open_engine(WillardProtocol(N)) == ENGINE_OPEN_HISTORY
+        assert (
+            select_engine(WillardProtocol(N), open_system=True)
+            == ENGINE_OPEN_HISTORY
+        )
 
     def test_batch_false_forces_the_scalar_oracle(self):
         assert (
-            select_open_engine(DecayProtocol(N), False) == ENGINE_OPEN_SCALAR
+            select_engine(DecayProtocol(N), False, open_system=True)
+            == ENGINE_OPEN_SCALAR
         )
 
     def test_non_batchable_crash_model_is_rejected_everywhere(self):
         rejoining = CrashModel(0.1, rejoin_after=3)
         for batch in (None, True, False):
             with pytest.raises(ValueError, match="rejoin"):
-                select_open_engine(DecayProtocol(N), batch, model=rejoining)
+                select_engine(
+                    DecayProtocol(N), batch, model=rejoining, open_system=True
+                )
 
 
 class TestBitIdentity:

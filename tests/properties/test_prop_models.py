@@ -27,7 +27,9 @@ from repro.channel import (
     run_uniform_batch,
 )
 from repro.channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS
+from repro.channel.routing import select_engine
 from repro.core.feedback import Feedback
+from repro.protocols.backoff import BinaryExponentialBackoff
 from repro.protocols.decay import DecayProtocol
 
 N = 2**8
@@ -245,17 +247,20 @@ class TestModelAlgebra:
     @given(any_model)
     def test_capability_flags_are_consistent(self, model):
         # Every registry model now builds a batch state (the rejoin-delay
-        # crash grew a per-trial ring buffer); the finer capability flags
-        # must respect the lattice the routing layers assume.
-        assert model.batchable
+        # crash grew a per-trial ring buffer) and batches on the uniform
+        # engines; the player engine refuses population-shrinking models.
         assert model.batch_state(4) is not None
-        if model.player_batchable:
-            assert model.batchable
+        assert select_engine(
+            DecayProtocol(N), True, model=model
+        ).startswith("batch-")
+        player_engine = select_engine(BinaryExponentialBackoff(), model=model)
         if model.shrinks_population:
             # Shrinking models express crashes as per-trial active-count
             # bands; only the stacked uniform engines understand those.
             assert isinstance(model, CrashModel)
-            assert not model.player_batchable
+            assert player_engine == "scalar-player"
+        else:
+            assert player_engine == "batch-player"
         if isinstance(model, AdaptiveAdversary):
             # Adaptive state partitions cleanly per trial, but fusing
             # would blur which spec drove which jam - kept unfusable.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.montecarlo import (
+from repro.channel.routing import (
     ENGINE_BATCH_HISTORY,
     ENGINE_BATCH_PLAYER,
     ENGINE_BATCH_SCHEDULE,
@@ -648,7 +648,7 @@ class TestAdversarialFusion:
         bands - the points fuse and reproduce the solo batch runs exactly.
         The player engines have no shrinking path, so player points still
         fall back to the scalar loop."""
-        from repro.analysis.montecarlo import ENGINE_SCALAR_PLAYER
+        from repro.channel.routing import ENGINE_SCALAR_PLAYER
 
         crash = uniform_base(
             channel={

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.opensys import ENGINE_OPEN_HISTORY, ENGINE_OPEN_SCHEDULE
+from repro.channel.routing import ENGINE_OPEN_HISTORY, ENGINE_OPEN_SCHEDULE
 from repro.scenarios import (
     AdmissionSpec,
     ArrivalSpec,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import (
+from repro.channel.routing import (
     ENGINE_BATCH_HISTORY,
     ENGINE_BATCH_PLAYER,
     ENGINE_BATCH_SCHEDULE,

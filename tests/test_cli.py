@@ -327,6 +327,28 @@ class TestAdversaryCli:
         assert "unknown channel model" in err
         assert "jam-oblivious" in err  # the message lists the vocabulary
 
+    def test_unroutable_batch_player_spec_is_a_scenario_error(
+        self, tmp_path, capsys
+    ):
+        """batch: true under a rejoin-delay crash has no vectorized player
+        engine: a clean exit 2, not a traceback."""
+        assert main(["scenario", "example", "--player"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        spec["batch"] = True
+        spec["channel"] = {
+            "collision_detection": True,
+            "model": {
+                "name": "crash",
+                "params": {"probability": 0.1, "rejoin_after": 2},
+            },
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["scenario", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:")
+        assert "rejoin" in err
+
     def test_out_of_range_model_param_fails_fast(self, tmp_path, capsys):
         spec = dict(
             EXAMPLE_SCENARIO,
