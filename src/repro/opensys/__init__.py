@@ -11,7 +11,8 @@ percentiles and throughput as a function of offered load.
   workloads).
 * :mod:`repro.opensys.driver` - the open-loop engines: vectorized
   schedule/history drivers plus the scalar session-driven oracle, all
-  consuming identical per-trial seed streams.
+  consuming identical lane streams (64-trial lanes, one generator
+  pair per lane and 32-round block).
 * :mod:`repro.opensys.latency` - the exact, mergeable sojourn-time
   histogram behind p50/p90/p99/throughput reporting.
 * :mod:`repro.opensys.policies` - request-lifecycle policies: retry

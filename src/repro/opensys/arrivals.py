@@ -15,10 +15,19 @@ registry mirrors ``scenarios/workloads.py``:
   :class:`TraceArrivals`) as per-round streams, thinned by a Bernoulli
   factor so device-scale counts become per-round request rates.
 
-All processes draw exclusively from the generator handed to
-``sample_rounds`` - they hold no RNG of their own - so the driver's
-per-trial :class:`numpy.random.SeedSequence` streams fully determine the
-traffic and shards stay reproducible.
+All processes draw exclusively from the generator handed to them - they
+hold no RNG of their own - so the driver's lane streams fully determine
+the traffic and shards stay reproducible.  The driver groups trials into
+fixed lanes of consecutive absolute trial indices and asks for a whole
+block of a lane at a time through :meth:`ArrivalProcess.sample_lane`,
+handing in the lane's per-row copies of the process
+(:meth:`ArrivalProcess.lane_rows`): row ``i`` of the block is row ``i``'s
+:meth:`~ArrivalProcess.sample_rounds` draw, the rows drawing one after
+another from the block's generator.  The default walks the rows in that
+order, which serves stateful processes (:class:`ThinnedArrivals`) and
+any subclass that only defines ``sample_rounds``;
+:class:`PoissonArrivals` shares itself across rows and draws the whole
+block in one vectorized call of the identical stream.
 
 :class:`ClampedArrivalSizeSource` adapts any arrival process the other
 way - into a closed-workload batch-size source - for the satellite
@@ -51,8 +60,9 @@ class ArrivalProcess(ABC):
     """A streaming request source: per-round injection counts.
 
     Subclasses must be stateless across ``sample_rounds`` calls *or*
-    restore their stream position on :meth:`reset`; the driver calls
-    :meth:`clone` once per trial so trials never share mutable state.
+    restore their stream position on :meth:`reset`; the driver draws each
+    trial from its own copy (:meth:`lane_rows`), so trials never share
+    mutable state.
     """
 
     name: str
@@ -60,6 +70,35 @@ class ArrivalProcess(ABC):
     @abstractmethod
     def sample_rounds(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
         """Draw the next ``rounds`` injection counts (int64 array)."""
+
+    def lane_rows(self, trials: int) -> list["ArrivalProcess"]:
+        """One copy of this process per row of a lane, for :meth:`sample_lane`.
+
+        The caller keeps the copies across blocks, so a stateful process
+        carries each row's position from one block to the next.  The
+        default hands out fresh clones.
+        """
+        return [self.clone() for _ in range(trials)]
+
+    def sample_lane(
+        self,
+        rng: np.random.Generator,
+        rows: Sequence["ArrivalProcess"],
+        rounds: int,
+    ) -> np.ndarray:
+        """Draw the next ``rounds`` counts of every row of a lane at once.
+
+        ``rows`` are the lane's copies from :meth:`lane_rows`.  Returns a
+        ``(len(rows), rounds)`` int64 array whose row ``i`` is
+        ``rows[i].sample_rounds(rng, rounds)``, the rows drawing in order
+        from ``rng``.
+        """
+        return np.stack(
+            [
+                np.asarray(row.sample_rounds(rng, rounds), dtype=np.int64)
+                for row in rows
+            ]
+        )
 
     @property
     @abstractmethod
@@ -87,6 +126,20 @@ class PoissonArrivals(ArrivalProcess):
 
     def sample_rounds(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
         return rng.poisson(self.rate, size=rounds).astype(np.int64)
+
+    def lane_rows(self, trials: int) -> list[ArrivalProcess]:
+        # Stateless: every row can draw through this one object.
+        return [self] * trials
+
+    def sample_lane(
+        self,
+        rng: np.random.Generator,
+        rows: Sequence[ArrivalProcess],
+        rounds: int,
+    ) -> np.ndarray:
+        # One row-major draw consumes the stream exactly as the rows'
+        # sample_rounds calls would, one after another.
+        return rng.poisson(self.rate, size=(len(rows), rounds)).astype(np.int64)
 
     @property
     def offered_load(self) -> float:

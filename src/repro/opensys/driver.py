@@ -34,8 +34,8 @@ Every round, each trial's requests move through a fixed pipeline:
    retried).
 
 With the default policies (``give-up`` retry, ``capacity`` admission)
-steps 1 and 5 are no-ops and the driver reproduces the PR 7 behaviour
-bit for bit.
+steps 1 and 5 are no-ops: a refused or expired request simply dies,
+counted, and the lifecycle keeps its lean single-plane buffer.
 
 Epoch semantics
 ---------------
@@ -67,36 +67,44 @@ pre-drawn uniform picks the departing request uniformly from the backlog
 compare, exactly as in the closed engines; a success erased by noise or a
 crash keeps the request in the population - the message was lost.
 
-Randomness is drawn per trial from two :class:`numpy.random.SeedSequence`
-children (arrival stream, channel stream) spawned at
-``spawn_key = (trial_offset + t,)`` - the :func:`~repro.scenarios.sweep.
-derive_point_seeds` discipline - and consumed in fixed-width
-:data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute boundaries.  The
-uniform columns per round are positional - band draw, winner draw, then
-one fault column (fault-drawing models), one admission column
-(``shed``), and one retry column (``backoff`` with jitter) - so the
-block shape depends only on the run's *specification*, never on the
-population.  Both properties together make the engines *bit-identical
-per trial*: the vectorized drivers and the scalar oracle consume exactly
-the same per-trial streams (unused draws are discarded, which is
-distribution-neutral), and a run sharded as ``trial_offset = 0..a`` plus
-``a..a+b`` merges to the unsharded run's store exactly.
+Randomness is drawn per *lane* and *block*: the trials of a point are
+grouped into fixed lanes of :data:`_LANE` consecutive absolute trial
+indices (lane ``L`` holds trials ``L*64 .. L*64+63``), and the rounds
+into fixed-width :data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute
+boundaries.  Lane ``L``'s block ``b`` has its own (arrival, channel)
+generator pair, ``SeedSequence(seed, spawn_key=(L, b, 0))`` and
+``(L, b, 1)``, and draws one
+:meth:`~repro.opensys.arrivals.ArrivalProcess.sample_lane` block of
+arrival counts and one ``(rows, width, 5)`` uniform block, row by row
+in trial order.  The five uniform columns per round are fixed - band,
+winner, fault, admission, retry - and always drawn, whatever the channel
+model and policies use, so a point's streams depend only on its seed,
+arrival process and horizon.  Because every block starts from fresh
+generators and rows draw in order, a trial's draws never depend on the
+rows after it: a run draws a lane only up to its last trial there, and
+one that starts mid-lane (a shard at any ``trial_offset``) draws the
+lane's rows from its start and keeps its own.  Together this makes the
+engines *bit-identical per trial*: the vectorized drivers and the scalar
+oracle consume the very same blocks (unused draws are discarded, which
+is distribution-neutral), and a run sharded as ``trial_offset = 0..a``
+plus ``a..a+b`` merges to the unsharded run's store exactly.
 
 Stacked rows
 ------------
 The engines advance *rows*, and a run may stack several points
-(:class:`OpenMember`: an arrival process, a seed and a trial count) that
-share everything else - protocol, channel, rounds, warmup, capacity,
-timeout and policies.  Member ``j`` owns a consecutive block of rows,
-each with its own arrival clone and its own stream pair from the
-member's seed, so the stream contract above holds per row whatever the
-stacking.  Every lifecycle step is row-wise, so a member's rows evolve
-exactly as they would in a run of their own.  The row -> member split
-keeps the results apart: the batch lifecycle tallies its counters per
-row and sums them per member once, at the end, and each round's
-completions go to the owning member's store (one ``record_many`` per
-member), so every member's store is bit-identical to its solo run.  A
-plain one-point run is the one-member case.
+(:class:`OpenMember`: an arrival process, a trial count, a seed and a
+retry policy) that share everything else - protocol, channel, rounds,
+warmup, capacity, timeout and admission policy.  Member ``j`` owns a
+consecutive block of rows, drawn from its own lanes under its own seed,
+so the stream contract above holds per row whatever the stacking.
+Every lifecycle step is row-wise, and a failed request asks the retry
+policy of the member owning its row, so a member's rows evolve exactly
+as they would in a run of their own.  The row -> member split keeps the
+results apart: the batch lifecycle tallies its counters per row and
+sums them per member once, at the end, and each round's completions go
+to the owning member's store (one ``record_many`` per member), so every
+member's store is bit-identical to its solo run.  A plain one-point run
+is the one-member case.
 
 Engines
 -------
@@ -130,7 +138,7 @@ need filtering.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,11 +176,23 @@ __all__ = [
     "run_open",
 ]
 
-#: Rounds of arrivals and channel uniforms pre-drawn per trial at each
-#: absolute block boundary (rounds 1, 1+B, 1+2B, ...).  Boundaries and
-#: shapes depend only on (rounds, trial), never on the population, so
-#: every engine consumes identical per-trial streams.
+#: Trials per lane: the unit of the open driver's random streams.  Lanes
+#: sit at absolute trial indices, so which lane a trial belongs to never
+#: depends on how a run is sharded or stacked.
+_LANE = 64
+
+#: Rounds of arrivals and channel uniforms pre-drawn per lane at each
+#: absolute block boundary (rounds 1, 1+B, 1+2B, ...), each block from
+#: its own generators.  Boundaries and shapes depend only on the horizon,
+#: never on the population, so every engine consumes identical streams.
 _OPEN_BLOCK_ROUNDS = 32
+
+#: The two streams of a lane and block: ``spawn_key=(lane, block, stream)``.
+_S_ARRIVALS, _S_CHANNEL = range(2)
+
+#: The per-round uniform columns, all drawn on every run.
+_U_BAND, _U_WINNER, _U_FAULT, _U_ADMISSION, _U_RETRY = range(5)
+_U_COLUMNS = 5
 
 #: Failure kinds handed to the retry policy (they differ only in which
 #: counter a first-attempt death lands in).
@@ -184,55 +204,25 @@ _F_BORN = 0
 _F_ADMITTED = 1
 _F_TRIES = 2
 
-
-@dataclass(frozen=True)
-class _Columns:
-    """Positional layout of the pre-drawn per-round uniform columns.
-
-    Band and winner draws are always columns 0 and 1 - the PR 7 layout -
-    and optional columns append in a fixed order (fault, admission,
-    retry), so a zero-policy faithful run consumes exactly the PR 7
-    stream.
-    """
-
-    fault: int | None
-    admission: int | None
-    retry: int | None
-    total: int
-
-
-def _column_layout(
-    model: ChannelModel | None,
-    admission: AdmissionPolicy,
-    retry: RetryPolicy,
-) -> _Columns:
-    index = 2
-    fault = admission_col = retry_col = None
-    if model is not None and model.needs_fault_draws:
-        fault = index
-        index += 1
-    if admission.needs_draws:
-        admission_col = index
-        index += 1
-    if retry.needs_draws:
-        retry_col = index
-        index += 1
-    return _Columns(
-        fault=fault, admission=admission_col, retry=retry_col, total=index
-    )
+#: Fields of the ``(3, n)`` record arrays of failed or orbiting requests.
+_R_ROW = 0
+_R_BORN = 1
+_R_TRIES = 2
 
 
 @dataclass(frozen=True)
 class OpenMember:
     """One point's rows in a stacked open run.
 
-    ``trials`` rows, each serving a private clone of ``arrivals`` with
-    the stream pair of trial ``trial_offset + t`` under ``seed``.
+    ``trials`` rows, each serving its own copy of ``arrivals`` with the
+    lane streams of trials ``trial_offset ..`` under ``seed``, and
+    resolving its failed requests through ``retry``.
     """
 
     arrivals: ArrivalProcess
     trials: int
     seed: int
+    retry: RetryPolicy = field(default_factory=GiveUpPolicy)
 
 
 @dataclass(frozen=True)
@@ -254,12 +244,16 @@ class OpenRunResult:
 
 
 class _RowSplit:
-    """Row -> member map of a stacked run, and the members' stores.
+    """Row -> member map of a stacked run, the members' stores and policies.
 
-    Member ``j`` owns rows ``bounds[j]:bounds[j+1]``.
+    Member ``j`` owns rows ``bounds[j]:bounds[j+1]`` and resolves their
+    failures through ``retries[j]``.
     """
 
-    def __init__(self, sizes: Sequence[int]) -> None:
+    def __init__(self, members: Sequence[OpenMember]) -> None:
+        sizes = [member.trials for member in members]
+        self.rows = sum(sizes)
+        self.retries = tuple(member.retry for member in members)
         self.stores = tuple(LatencyStore() for _ in sizes)
         self.bounds = np.cumsum([0, *sizes])
         self._owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -267,11 +261,24 @@ class _RowSplit:
     def store_of(self, row: int) -> LatencyStore:
         return self.stores[self._owner[row]]
 
+    def retry_of(self, row: int) -> RetryPolicy:
+        return self.retries[self._owner[row]]
+
+    def parts(self, rows: np.ndarray) -> list[tuple[int, int, int]]:
+        """``(member, lo, hi)`` spans of ascending ``rows`` per owner."""
+        if len(self.stores) == 1:
+            return [(0, 0, rows.size)] if rows.size else []
+        cuts = np.searchsorted(rows, self.bounds).tolist()
+        return [
+            (member, lo, hi)
+            for member, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+            if hi > lo
+        ]
+
     def record(self, rows: np.ndarray, sojourns: np.ndarray) -> None:
         """Record completions of ascending ``rows`` into their owners."""
-        cuts = np.searchsorted(rows, self.bounds).tolist()
-        for store, lo, hi in zip(self.stores, cuts, cuts[1:]):
-            store.record_many(sojourns[lo:hi])
+        for member, lo, hi in self.parts(rows):
+            self.stores[member].record_many(sojourns[lo:hi])
 
     def add(self, tally: dict[str, np.ndarray]) -> None:
         """Sum per-row counter tallies into each member's store."""
@@ -281,67 +288,92 @@ class _RowSplit:
                 setattr(store, name, getattr(store, name) + total)
 
 
-def _trial_streams(
-    seed: int, trials: int, trial_offset: int
-) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """Per-trial (arrival, channel) generator pairs, prefix-stable.
+@dataclass(frozen=True)
+class _Lane:
+    """One lane of a member: its key, row copies and the rows the run keeps.
 
-    Trial ``t`` is keyed by ``SeedSequence(seed, spawn_key=(offset+t,))``
-    - the same child :func:`~repro.scenarios.sweep.derive_point_seeds`
-    would hand out - so shards ``[0, a)`` and ``[a, a+b)`` reproduce
-    exactly the trials of one ``[0, a+b)`` run.
+    ``copies`` covers the lane's rows up to the last one the run keeps;
+    the rows after it are never drawn.
     """
-    streams = []
-    for t in range(trials):
-        root = np.random.SeedSequence(entropy=seed, spawn_key=(trial_offset + t,))
-        arrival_seq, channel_seq = root.spawn(2)
-        streams.append(
-            (
-                np.random.default_rng(arrival_seq),
-                np.random.default_rng(channel_seq),
-            )
-        )
-    return streams
+
+    seed: int
+    index: int
+    arrivals: ArrivalProcess
+    copies: list[ArrivalProcess]
+    keep: slice  # of the drawn rows
+    rows: slice  # of the run's rows
 
 
-def _refill_blocks(
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
-    round_index: int,
-    rounds: int,
-    columns: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw one block of per-trial arrivals and channel uniforms.
+def _block_rng(lane: _Lane, block: int, stream: int) -> np.random.Generator:
+    """The generator of one stream of one lane and block."""
+    return np.random.default_rng(
+        np.random.SeedSequence(lane.seed, spawn_key=(lane.index, block, stream))
+    )
 
-    The shared half of the engines' stream contract (both vectorized
-    drivers and the scalar oracle call exactly this, the oracle with
-    one-trial slices): per trial, ``width`` arrival counts from its
-    arrival generator, then a ``(width, columns)`` uniform block from its
-    channel generator.
+
+class _LaneStreams:
+    """The run's random streams, drawn lane by lane in absolute blocks.
+
+    The shared half of the engines' stream contract - both vectorized
+    drivers and the scalar oracle consume exactly these blocks.  A member
+    running trials ``offset .. offset+trials-1`` touches lanes
+    ``offset // 64`` onwards; a lane it covers only in part is drawn up
+    to the member's last row there and cut to the member's rows.
     """
-    width = min(_OPEN_BLOCK_ROUNDS, rounds - round_index + 1)
-    trials = len(processes)
-    arrival_counts = np.empty((trials, width), dtype=np.int64)
-    channel_draws = np.empty((trials, width, columns))
-    for t in range(trials):
-        arrival_rng, channel_rng = streams[t]
-        counts = np.asarray(
-            processes[t].sample_rounds(arrival_rng, width), dtype=np.int64
-        )
-        if counts.shape != (width,):
-            raise ValueError(
-                f"arrival process {processes[t].name!r} returned shape "
-                f"{counts.shape}, expected ({width},)"
+
+    def __init__(self, members: Sequence[OpenMember], trial_offset: int) -> None:
+        self.rows = 0
+        self._lanes: list[_Lane] = []
+        for member in members:
+            stop = trial_offset + member.trials
+            for lane in range(trial_offset // _LANE, (stop - 1) // _LANE + 1):
+                start = lane * _LANE
+                lo, hi = max(trial_offset, start), min(stop, start + _LANE)
+                first = self.rows + lo - trial_offset
+                self._lanes.append(
+                    _Lane(
+                        seed=member.seed,
+                        index=lane,
+                        arrivals=member.arrivals,
+                        copies=member.arrivals.lane_rows(hi - start),
+                        keep=slice(lo - start, hi - start),
+                        rows=slice(first, first + hi - lo),
+                    )
+                )
+            self.rows += member.trials
+
+    def refill(
+        self, round_index: int, rounds: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Arrival counts ``(rows, width)`` and uniforms ``(rows, width, 5)``
+        of the block starting at ``round_index``."""
+        width = min(_OPEN_BLOCK_ROUNDS, rounds - round_index + 1)
+        block = (round_index - 1) // _OPEN_BLOCK_ROUNDS
+        arrival_counts = np.empty((self.rows, width), dtype=np.int64)
+        uniforms = np.empty((self.rows, width, _U_COLUMNS))
+        for lane in self._lanes:
+            arrival_rng = _block_rng(lane, block, _S_ARRIVALS)
+            channel_rng = _block_rng(lane, block, _S_CHANNEL)
+            drawn = len(lane.copies)
+            counts = np.asarray(
+                lane.arrivals.sample_lane(arrival_rng, lane.copies, width),
+                dtype=np.int64,
             )
-        arrival_counts[t] = counts
-        channel_rng.random(out=channel_draws[t])
-    negative = np.flatnonzero((arrival_counts < 0).any(axis=1))
-    if negative.size:
-        raise ValueError(
-            f"arrival process {processes[negative[0]].name!r} returned "
-            "negative counts"
-        )
-    return arrival_counts, channel_draws
+            if counts.shape != (drawn, width):
+                raise ValueError(
+                    f"arrival process {lane.arrivals.name!r} returned shape "
+                    f"{counts.shape}, expected ({drawn}, {width})"
+                )
+            if (counts < 0).any():
+                raise ValueError(
+                    f"arrival process {lane.arrivals.name!r} returned "
+                    "negative counts"
+                )
+            arrival_counts[lane.rows] = counts[lane.keep]
+            uniforms[lane.rows] = channel_rng.random(
+                (drawn, width, _U_COLUMNS)
+            )[lane.keep]
+        return arrival_counts, uniforms
 
 
 def _trichotomy(
@@ -388,26 +420,26 @@ class _BatchLifecycle:
     (by trial, then insertion order), timeout expiry is a stable
     compaction, buffer departure is the winner swap-remove, and the
     j-th retry scheduled in a round takes the j-th Weyl rotation of the
-    round's retry draw.  Counters are tallied per row and handed to the
-    run's :class:`_RowSplit` by :meth:`finish`.
+    round's retry draw.  Failures resolve through the retry policy of
+    the member owning their row.  Counters are tallied per row and
+    handed to the run's :class:`_RowSplit` by :meth:`finish`.
     """
 
     def __init__(
         self,
-        trials: int,
         capacity: int,
         timeout: int | None,
         warmup: int,
         admission: AdmissionPolicy,
-        retry: RetryPolicy,
         split: _RowSplit,
     ) -> None:
+        trials = split.rows
         self.trials = trials
         self.capacity = capacity
         self.timeout = timeout
         self.warmup = warmup
-        self.retry = retry
         self.split = split
+        self._jitter = any(retry.needs_draws for retry in split.retries)
         self.tally = {
             name: np.zeros(trials, dtype=np.int64)
             for name in LatencyStore.COUNTERS
@@ -418,16 +450,16 @@ class _BatchLifecycle:
         # admission round equals the birth round and the retry count is
         # identically zero - a lone ``born`` plane suffices and the
         # default-policy fast path does exactly PR 7's work.  With a
-        # live retry policy the three per-request fields are packed into
-        # one (trials, capacity, 3) array so every buffer move (append,
-        # swap-remove, expiry compaction) is a single gather/scatter.
-        self._plain = retry.budget == 0
+        # live retry policy on any member the three per-request fields
+        # are packed into one (trials, capacity, 3) array so every
+        # buffer move (append, swap-remove, expiry compaction) is a
+        # single gather/scatter.
+        self._plain = all(retry.budget == 0 for retry in split.retries)
         self._track = timeout is not None and not self._plain
         if self._track:
             self._buf = np.zeros((trials, capacity, 3), dtype=np.int64)
             self.born = self._buf[:, :, _F_BORN]
             self.admitted_at = self._buf[:, :, _F_ADMITTED]
-            self.tries = self._buf[:, :, _F_TRIES]
         else:
             self._buf = None
             self.born = np.zeros((trials, capacity), dtype=np.int64)
@@ -443,17 +475,19 @@ class _BatchLifecycle:
             if timeout is not None
             else None
         )
-        # Orbit buckets: rejoin round -> list of (rows, born, tries)
-        # chunks, appended in failure order.  Delays are >= 1 and rounds
-        # are processed consecutively, so a bucket is drained exactly at
-        # its key and never goes stale.
-        self._orbit: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        # Orbit buckets: rejoin round -> list of (3, n) record chunks
+        # (row, born, tries: the _R_* fields), appended in failure
+        # order.  Delays are >= 1 and rounds are processed consecutively,
+        # so a bucket is drained exactly at its key and never goes stale.
+        self._orbit: dict[int, list[np.ndarray]] = {}
         self.orb_n = np.zeros(trials, dtype=np.int64)
         self._fail_rank = np.zeros(trials, dtype=np.int64)
         self._trial_ids = np.arange(trials, dtype=np.int64)
         self._slot_ids = np.arange(capacity, dtype=np.int64)
         self._round = 0
-        self._retry_draws: np.ndarray | None = None
+        self._retry_draws = np.zeros(trials)
+        self._no_due = np.zeros(trials, dtype=np.int64)
+        self._no_due.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Round pipeline
@@ -462,8 +496,8 @@ class _BatchLifecycle:
         self,
         round_index: int,
         fresh: np.ndarray,
-        adm_draws: np.ndarray | None,
-        retry_draws: np.ndarray | None,
+        adm_draws: np.ndarray,
+        retry_draws: np.ndarray,
     ) -> None:
         """Orbit release, admission, and admission-failure resolution."""
         self._round = round_index
@@ -472,7 +506,7 @@ class _BatchLifecycle:
             self._fail_rank[:] = 0
         self.tally["arrivals"] += fresh
 
-        due_rows, due_born, due_tries, n_due = self._release(round_index)
+        due, n_due = self._release(round_index)
         candidates = n_due + fresh
         self.tally["attempts"] += candidates
         quota = self._adm_state.quota(
@@ -482,53 +516,42 @@ class _BatchLifecycle:
             np.minimum(candidates, quota), self.capacity - self.occupancy
         )
         self._adm_state.commit(admitted)
-
         admit_rejoin = np.minimum(n_due, admitted)
-        if due_rows.size:
-            ranks, _ = _row_ranks(due_rows, self.trials)
-            taken = ranks < admit_rejoin[due_rows]
-            self._append_buffer(
-                due_rows[taken], due_born[taken], due_tries[taken]
-            )
         admit_fresh = admitted - admit_rejoin
-        if admit_fresh.any():
-            rows = np.repeat(self._trial_ids, admit_fresh)
-            self._append_buffer(
-                rows,
-                np.full(rows.size, round_index, dtype=np.int64),
-                np.zeros(rows.size, dtype=np.int64),
-            )
 
-        # Refusals, in candidate order: surplus rejoiners first, then
-        # surplus fresh arrivals.
-        parts = []
-        if due_rows.size:
-            refused = ranks >= admit_rejoin[due_rows]
-            if refused.any():
-                parts.append(
-                    (due_rows[refused], due_born[refused], due_tries[refused])
-                )
+        # Each trial admits its first admit_rejoin due records (release
+        # order), then admit_fresh fresh arrivals; refusals keep the same
+        # candidate order - surplus rejoiners first, then surplus fresh.
+        refused = []
+        due_ranks = None
+        if due is not None:
+            due_ranks, _ = _row_ranks(due[_R_ROW], self.trials)
+            taken = due_ranks < admit_rejoin[due[_R_ROW]]
+            if not taken.all():
+                refused.append(due.compress(~taken, axis=1))
+                due, due_ranks = due.compress(taken, axis=1), due_ranks[taken]
+        if admitted.any():
+            self._admit(due, due_ranks, admit_rejoin, admit_fresh)
+        self.occupancy += admitted
+        if self._ring is not None:
+            self._ring[:, round_index % self.timeout] += admitted
+
         refused_fresh = fresh - admit_fresh
         if refused_fresh.any():
             rows = np.repeat(self._trial_ids, refused_fresh)
-            parts.append((
-                rows,
-                np.full(rows.size, round_index, dtype=np.int64),
-                np.zeros(rows.size, dtype=np.int64),
-            ))
-        if len(parts) == 2:
+            records = np.zeros((3, rows.size), dtype=np.int64)
+            records[_R_ROW] = rows
+            records[_R_BORN] = round_index
+            refused.append(records)
+        if len(refused) == 2:
             # One batched failure: a stable sort by trial keeps each
             # trial's surplus rejoiners ahead of its surplus fresh
             # arrivals, i.e. exactly the candidate order.
-            rows = np.concatenate((parts[0][0], parts[1][0]))
-            order = np.argsort(rows, kind="stable")
-            parts = [(
-                rows[order],
-                np.concatenate((parts[0][1], parts[1][1]))[order],
-                np.concatenate((parts[0][2], parts[1][2]))[order],
-            )]
-        if parts:
-            self._fail(*parts[0], _FAIL_ADMISSION)
+            records = np.concatenate(refused, axis=1)
+            order = np.argsort(records[_R_ROW], kind="stable")
+            refused = [records.take(order, axis=1)]
+        if refused:
+            self._fail(refused[0], _FAIL_ADMISSION)
 
     def complete(
         self, rows: np.ndarray, winner_draws: np.ndarray, round_index: int
@@ -575,18 +598,19 @@ class _BatchLifecycle:
         keep_ranks, keep_counts = _row_ranks(keep_local, affected.size)
         rows = affected[local_rows]
         keep_rows = affected[keep_local]
+        records = np.zeros((3, rows.size), dtype=np.int64)
+        records[_R_ROW] = rows
         if self._track:
             victims = self._buf[rows, slots]
-            born = victims[:, _F_BORN]
-            tries = victims[:, _F_TRIES]
+            records[_R_BORN] = victims[:, _F_BORN]
+            records[_R_TRIES] = victims[:, _F_TRIES]
             self._buf[keep_rows, keep_ranks] = self._buf[keep_rows, keep_slots]
         else:
-            born = self.born[rows, slots]
-            tries = np.zeros(rows.size, dtype=np.int64)
+            records[_R_BORN] = self.born[rows, slots]
             self.born[keep_rows, keep_ranks] = self.born[keep_rows, keep_slots]
         self.occupancy[affected] = keep_counts
         self._ring[:, col] = 0
-        self._fail(rows, born, tries, _FAIL_TIMEOUT)
+        self._fail(records, _FAIL_TIMEOUT)
 
     def finish(self) -> None:
         self.tally["in_flight"] += self.occupancy
@@ -596,110 +620,124 @@ class _BatchLifecycle:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _append_buffer(
-        self, rows: np.ndarray, born: np.ndarray, tries: np.ndarray
+    def _admit(
+        self,
+        due: np.ndarray | None,
+        due_ranks: np.ndarray | None,
+        admit_rejoin: np.ndarray,
+        admit_fresh: np.ndarray,
     ) -> None:
+        """Write this round's admissions into the buffer.
+
+        ``due`` holds the admitted rejoiner records, ``due_ranks`` their
+        within-trial ranks; the ``admit_fresh`` fresh arrivals of each
+        trial follow its ``admit_rejoin`` rejoiners.
+        """
+        rows = np.repeat(self._trial_ids, admit_fresh)
+        ranks, _ = _row_ranks(rows, self.trials)
+        slots = (self.occupancy + admit_rejoin)[rows] + ranks
+        born = np.full(rows.size, self._round, dtype=np.int64)
+        tries = None
+        if due is not None and due.size:
+            due_rows = due[_R_ROW]
+            rows = np.concatenate((due_rows, rows))
+            slots = np.concatenate((self.occupancy[due_rows] + due_ranks, slots))
+            born = np.concatenate((due[_R_BORN], born))
+            tries = due[_R_TRIES]
         if rows.size == 0:
             return
-        ranks, counts = _row_ranks(rows, self.trials)
-        slots = self.occupancy[rows] + ranks
         if self._track:
-            entry = np.empty((rows.size, 3), dtype=np.int64)
+            entry = np.zeros((rows.size, 3), dtype=np.int64)
             entry[:, _F_BORN] = born
             entry[:, _F_ADMITTED] = self._round
-            entry[:, _F_TRIES] = tries
+            if tries is not None:
+                entry[: tries.size, _F_TRIES] = tries
             self._buf[rows, slots] = entry
         else:
             self.born[rows, slots] = born
-        if self._ring is not None:
-            self._ring[:, self._round % self.timeout] += counts
-        self.occupancy += counts
 
     def _release(
         self, round_index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Due orbit entries, stable: by trial, then insertion order."""
-        empty = np.empty(0, dtype=np.int64)
-        none = np.zeros(self.trials, dtype=np.int64)
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Due orbit records (stable: by trial, then insertion order), or
+        ``None``, plus the per-trial due counts."""
         chunks = self._orbit.pop(round_index, None)
         if chunks is None:
-            return empty, empty, empty, none
+            return None, self._no_due
         if len(chunks) == 1:
             # A lone chunk is already row-major (one _fail batch).
-            rows, born, tries = chunks[0]
+            records = chunks[0]
         else:
-            rows = np.concatenate([chunk[0] for chunk in chunks])
-            born = np.concatenate([chunk[1] for chunk in chunks])
-            tries = np.concatenate([chunk[2] for chunk in chunks])
             # Chunks arrive in insertion order and are each row-major,
             # so a stable sort by trial recovers the release order the
             # scalar oracle's list scan produces.
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            born = born[order]
-            tries = tries[order]
-        n_due = np.bincount(rows, minlength=self.trials)
+            records = np.concatenate(chunks, axis=1)
+            order = np.argsort(records[_R_ROW], kind="stable")
+            records = records.take(order, axis=1)
+        n_due = np.bincount(records[_R_ROW], minlength=self.trials)
         self.orb_n -= n_due
-        return rows, born, tries, n_due
+        return records, n_due
 
-    def _append_orbit(
-        self,
-        rows: np.ndarray,
-        rejoin: np.ndarray,
-        born: np.ndarray,
-        tries: np.ndarray,
-    ) -> None:
-        self.orb_n += np.bincount(rows, minlength=self.trials)
+    def _append_orbit(self, records: np.ndarray, rejoin: np.ndarray) -> None:
+        """File retrying ``records`` (owned) in orbit buckets by ``rejoin``."""
+        if rejoin.min() == rejoin.max():
+            self._orbit.setdefault(int(rejoin[0]), []).append(records)
+            return
         # One stable sort groups the batch by rejoin round while keeping
         # the row-major failure order within each group; the buckets
         # then take contiguous slices instead of per-value masks.
         order = np.argsort(rejoin, kind="stable")
         rejoin = rejoin[order]
-        rows = rows[order]
-        born = born[order]
-        tries = tries[order]
+        records = records.take(order, axis=1)
         bounds = np.flatnonzero(rejoin[1:] != rejoin[:-1]) + 1
-        starts = (0, *bounds.tolist(), rejoin.size)
-        for lo, hi in zip(starts, starts[1:]):
-            self._orbit.setdefault(int(rejoin[lo]), []).append(
-                (rows[lo:hi], born[lo:hi], tries[lo:hi])
-            )
+        starts = [0, *bounds.tolist()]
+        keys = rejoin[starts].tolist()
+        # Buckets own copies: a slice would pin the whole failure batch
+        # until the bucket's (possibly distant) rejoin round.
+        for key, lo, hi in zip(keys, starts, [*starts[1:], rejoin.size]):
+            self._orbit.setdefault(key, []).append(records[:, lo:hi].copy())
 
-    def _fail(
-        self,
-        rows: np.ndarray,
-        born: np.ndarray,
-        tries: np.ndarray,
-        kind: int,
-    ) -> None:
-        """Resolve failure events (row-major order) through the policy."""
+    def _fail(self, records: np.ndarray, kind: int) -> None:
+        """Resolve failed request records through the policies.
+
+        ``records`` is a fresh ``(3, n)`` array in row-major order, which
+        this call consumes (retrying records go to the orbit as they are).
+        """
         tally = self.tally
-        allowed = self.retry.allows(tries)
-        if allowed is True:
-            allowed = np.ones(rows.size, dtype=bool)
-        deaths = ~allowed
-        if deaths.any():
+        retries = self.split.retries
+        rows, tries = records[_R_ROW], records[_R_TRIES]
+        allowed = np.empty(rows.size, dtype=bool)
+        for member, lo, hi in self.split.parts(rows):
+            allowed[lo:hi] = retries[member].allows(tries[lo:hi])
+        if not allowed.all():
+            deaths = ~allowed
             first = deaths & (tries == 0)
             counter = "dropped" if kind == _FAIL_ADMISSION else "timed_out"
             tally[counter] += np.bincount(rows[first], minlength=self.trials)
             tally["abandoned"] += np.bincount(
                 rows[deaths & ~first], minlength=self.trials
             )
-        if not allowed.any():
-            return
-        retry_rows = rows[allowed]
-        retry_tries = tries[allowed]
-        tally["retried"] += np.bincount(retry_rows, minlength=self.trials)
+            if not allowed.any():
+                return
+            records = records.compress(allowed, axis=1)
+            rows, tries = records[_R_ROW], records[_R_TRIES]
+        tries += 1  # the retry being scheduled
+        ranks, counts = _row_ranks(rows, self.trials)
+        tally["retried"] += counts
+        self.orb_n += counts
         jitter_u = None
-        if self.retry.needs_draws:
-            ranks, counts = _row_ranks(retry_rows, self.trials)
-            offsets = self._fail_rank[retry_rows] + ranks
+        if self._jitter:
+            offsets = self._fail_rank[rows] + ranks
             self._fail_rank += counts
-            jitter_u = weyl_uniforms(self._retry_draws[retry_rows], offsets)
-        delays = self.retry.delays(retry_tries + 1, jitter_u)
-        self._append_orbit(
-            retry_rows, self._round + delays, born[allowed], retry_tries + 1
-        )
+            jitter_u = weyl_uniforms(self._retry_draws[rows], offsets)
+        delays = np.empty(rows.size, dtype=np.int64)
+        for member, lo, hi in self.split.parts(rows):
+            policy = retries[member]
+            delays[lo:hi] = policy.delays(
+                tries[lo:hi],
+                jitter_u[lo:hi] if policy.needs_draws else None,
+            )
+        self._append_orbit(records, self._round + delays)
 
 
 class _ScalarLifecycle:
@@ -729,6 +767,12 @@ class _ScalarLifecycle:
         self.pending: list[tuple[int, int, int]] = []  # (born, admitted, tries)
         self.orbit: list[tuple[int, int, int]] = []  # (rejoin, born, tries)
         self._adm_state = admission.state(1)
+        # Length-1 argument buffers for the shared admission kernels,
+        # refilled in place each round (states read them, never keep them).
+        self._adm_occupancy = np.zeros(1, dtype=np.int64)
+        self._adm_candidates = np.zeros(1, dtype=np.int64)
+        self._adm_draw = np.zeros(1)
+        self._adm_admitted = np.zeros(1, dtype=np.int64)
         self._round = 0
         self._retry_draw = 0.0
         self._fail_rank = 0
@@ -737,8 +781,8 @@ class _ScalarLifecycle:
         self,
         round_index: int,
         fresh: int,
-        adm_draw: float | None,
-        retry_draw: float | None,
+        adm_draw: float,
+        retry_draw: float,
     ) -> None:
         self._round = round_index
         self._retry_draw = retry_draw
@@ -750,16 +794,20 @@ class _ScalarLifecycle:
         self.orbit = [entry for entry in self.orbit if entry[0] > round_index]
         candidates = len(due) + fresh
         store.attempts += candidates
+        self._adm_occupancy[0] = len(self.pending)
+        self._adm_candidates[0] = candidates
+        self._adm_draw[0] = adm_draw
         quota = int(
             self._adm_state.quota(
-                np.asarray([len(self.pending)], dtype=np.int64),
-                np.asarray([candidates], dtype=np.int64),
+                self._adm_occupancy,
+                self._adm_candidates,
                 self.capacity,
-                None if adm_draw is None else np.asarray([adm_draw]),
+                self._adm_draw,
             )[0]
         )
         admitted = min(candidates, quota, self.capacity - len(self.pending))
-        self._adm_state.commit(np.asarray([admitted], dtype=np.int64))
+        self._adm_admitted[0] = admitted
+        self._adm_state.commit(self._adm_admitted)
 
         admit_rejoin = min(len(due), admitted)
         for _, born, tries in due[:admit_rejoin]:
@@ -818,39 +866,15 @@ class _ScalarLifecycle:
         self.orbit.append((self._round + delay, born, tries + 1))
 
 
-def _round_draws(
-    channel_draws: np.ndarray, column: int, layout: _Columns
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """(fault, admission, retry) draw vectors of one round (or None)."""
-    fault = (
-        channel_draws[:, column, layout.fault]
-        if layout.fault is not None
-        else None
-    )
-    admission = (
-        channel_draws[:, column, layout.admission]
-        if layout.admission is not None
-        else None
-    )
-    retry = (
-        channel_draws[:, column, layout.retry]
-        if layout.retry is not None
-        else None
-    )
-    return fault, admission, retry
-
-
 def _run_open_schedule(
     protocol: UniformProtocol,
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
+    streams: _LaneStreams,
     model: ChannelModel | None,
     rounds: int,
     warmup: int,
     capacity: int,
     timeout: int | None,
     admission: AdmissionPolicy,
-    retry: RetryPolicy,
     split: _RowSplit,
 ) -> None:
     """Vectorized open loop for schedule-publishing protocols."""
@@ -859,27 +883,23 @@ def _run_open_schedule(
     probabilities = np.asarray(schedule.probabilities, dtype=float)
     length = probabilities.size
 
-    trials = len(processes)
-    lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, split
-    )
+    trials = split.rows
+    lifecycle = _BatchLifecycle(capacity, timeout, warmup, admission, split)
     epoch_round = np.zeros(trials, dtype=np.int64)
 
     fault_state = model.batch_state(trials) if model is not None else None
-    layout = _column_layout(model, admission, retry)
 
-    arrival_counts = channel_draws = None
+    arrival_counts = uniforms = None
     for round_index in range(1, rounds + 1):
         column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
         if column == 0:
-            arrival_counts, channel_draws = _refill_blocks(
-                processes, streams, round_index, rounds, layout.total
-            )
-        fault_draws, adm_draws, retry_draws = _round_draws(
-            channel_draws, column, layout
-        )
+            arrival_counts, uniforms = streams.refill(round_index, rounds)
+        draws = uniforms[:, column]
         lifecycle.begin_round(
-            round_index, arrival_counts[:, column], adm_draws, retry_draws
+            round_index,
+            arrival_counts[:, column],
+            draws[:, _U_ADMISSION],
+            draws[:, _U_RETRY],
         )
         occupancy = lifecycle.occupancy
 
@@ -888,14 +908,14 @@ def _run_open_schedule(
         if not schedule.cycle:
             epoch_round[epoch_round >= length] = 0
         p = probabilities[epoch_round % length]
-        codes = _trichotomy(channel_draws[:, column, 0], p, occupancy)
+        codes = _trichotomy(draws[:, _U_BAND], p, occupancy)
         if fault_state is not None:
-            codes = fault_state.perturb(round_index, codes, fault_draws)
+            codes = fault_state.perturb(round_index, codes, draws[:, _U_FAULT])
 
         success = (codes == FB_SUCCESS) & (occupancy > 0)
         if success.any():
             rows = np.flatnonzero(success)
-            lifecycle.complete(rows, channel_draws[rows, column, 1], round_index)
+            lifecycle.complete(rows, draws[rows, _U_WINNER], round_index)
             epoch_round[rows] = 0
         # Contended non-success rows step their epoch (success rows just
         # reset; their occupancy decrement cannot re-satisfy the mask).
@@ -908,8 +928,7 @@ def _run_open_schedule(
 
 def _run_open_history(
     protocol: UniformProtocol,
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
+    streams: _LaneStreams,
     channel: Channel,
     model: ChannelModel | None,
     rounds: int,
@@ -917,7 +936,6 @@ def _run_open_history(
     capacity: int,
     timeout: int | None,
     admission: AdmissionPolicy,
-    retry: RetryPolicy,
     split: _RowSplit,
 ) -> None:
     """Vectorized open loop for deterministic history-driven protocols."""
@@ -930,28 +948,24 @@ def _run_open_history(
             "first round; it cannot serve an open system"
         )
 
-    trials = len(processes)
-    lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, split
-    )
+    trials = split.rows
+    lifecycle = _BatchLifecycle(capacity, timeout, warmup, admission, split)
     node = np.full(trials, root, dtype=np.int64)
     collision_detection = channel.collision_detection
 
     fault_state = model.batch_state(trials) if model is not None else None
-    layout = _column_layout(model, admission, retry)
 
-    arrival_counts = channel_draws = None
+    arrival_counts = uniforms = None
     for round_index in range(1, rounds + 1):
         column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
         if column == 0:
-            arrival_counts, channel_draws = _refill_blocks(
-                processes, streams, round_index, rounds, layout.total
-            )
-        fault_draws, adm_draws, retry_draws = _round_draws(
-            channel_draws, column, layout
-        )
+            arrival_counts, uniforms = streams.refill(round_index, rounds)
+        draws = uniforms[:, column]
         lifecycle.begin_round(
-            round_index, arrival_counts[:, column], adm_draws, retry_draws
+            round_index,
+            arrival_counts[:, column],
+            draws[:, _U_ADMISSION],
+            draws[:, _U_RETRY],
         )
         occupancy = lifecycle.occupancy
 
@@ -964,14 +978,14 @@ def _run_open_history(
             if exhausted.any():
                 node[exhausted] = root
         p = arena.probability[node]
-        codes = _trichotomy(channel_draws[:, column, 0], p, occupancy)
+        codes = _trichotomy(draws[:, _U_BAND], p, occupancy)
         if fault_state is not None:
-            codes = fault_state.perturb(round_index, codes, fault_draws)
+            codes = fault_state.perturb(round_index, codes, draws[:, _U_FAULT])
 
         success = (codes == FB_SUCCESS) & (occupancy > 0)
         if success.any():
             rows = np.flatnonzero(success)
-            lifecycle.complete(rows, channel_draws[rows, column, 1], round_index)
+            lifecycle.complete(rows, draws[rows, _U_WINNER], round_index)
             node[rows] = root
         advance = ~success & (occupancy > 0)
         if advance.any() and round_index < rounds:
@@ -990,8 +1004,7 @@ def _run_open_history(
 
 def _run_open_scalar(
     protocol: UniformProtocol,
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
+    streams: _LaneStreams,
     channel: Channel,
     model: ChannelModel | None,
     rounds: int,
@@ -999,43 +1012,50 @@ def _run_open_scalar(
     capacity: int,
     timeout: int | None,
     admission: AdmissionPolicy,
-    retry: RetryPolicy,
     split: _RowSplit,
 ) -> None:
     """The per-trial reference loop: real sessions, identical streams.
 
     Probabilities come from live :class:`~repro.core.protocol.
     UniformSession` objects instead of schedule arrays or the memoized
-    trie, and the request lifecycle runs on plain Python lists
-    (:class:`_ScalarLifecycle`), but every random draw is consumed
-    through the same :func:`_refill_blocks` contract (one-trial slices),
-    so for deterministic protocols the resulting store is bit-identical
-    to the vectorized engines'.
+    trie, and each trial's request lifecycle runs on plain Python lists
+    (:class:`_ScalarLifecycle`), but the trials step round by round
+    through the very :class:`_LaneStreams` blocks the vectorized engines
+    draw, so for deterministic protocols the resulting store is
+    bit-identical to theirs.
     """
     collision_detection = channel.collision_detection
-    layout = _column_layout(model, admission, retry)
-    for t in range(len(processes)):
-        fault_state = model.batch_state(1) if model is not None else None
-        lifecycle = _ScalarLifecycle(
-            capacity, timeout, warmup, admission, retry, split.store_of(t)
+    trials = split.rows
+    lifecycles = [
+        _ScalarLifecycle(
+            capacity, timeout, warmup, admission, split.retry_of(t),
+            split.store_of(t),
         )
-        session = None
-        arrival_counts = channel_draws = None
-        for round_index in range(1, rounds + 1):
-            column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
-            if column == 0:
-                arrival_counts, channel_draws = _refill_blocks(
-                    processes[t : t + 1], streams[t : t + 1], round_index,
-                    rounds, layout.total,
-                )
-            fault_draws, adm_draws, retry_draws = _round_draws(
-                channel_draws, column, layout
+        for t in range(trials)
+    ]
+    fault_states = [
+        model.batch_state(1) if model is not None else None
+        for _ in range(trials)
+    ]
+    sessions = [None] * trials
+    arrival_counts = uniforms = None
+    for round_index in range(1, rounds + 1):
+        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
+        if column == 0:
+            # Plain nested lists: the per-trial loop indexes them cheaply.
+            arrival_counts, uniforms = (
+                block.tolist() for block in streams.refill(round_index, rounds)
             )
+        for t in range(trials):
+            lifecycle = lifecycles[t]
+            fault_state = fault_states[t]
+            session = sessions[t]
+            draws = uniforms[t][column]
             lifecycle.begin_round(
                 round_index,
-                int(arrival_counts[0, column]),
-                None if adm_draws is None else float(adm_draws[0]),
-                None if retry_draws is None else float(retry_draws[0]),
+                arrival_counts[t][column],
+                draws[_U_ADMISSION],
+                draws[_U_RETRY],
             )
 
             k = len(lifecycle.pending)
@@ -1056,7 +1076,7 @@ def _run_open_scalar(
                             "schedule before the first round; it cannot "
                             "serve an open system"
                         ) from None
-                u = float(channel_draws[0, column, 0])
+                u = draws[_U_BAND]
                 lo = (1.0 - p) ** k
                 hi = lo + k * p * (1.0 - p) ** max(k - 1, 0)
                 code = (
@@ -1069,14 +1089,12 @@ def _run_open_scalar(
                     fault_state.perturb(
                         round_index,
                         np.asarray([code], dtype=np.int64),
-                        fault_draws,
+                        np.asarray([draws[_U_FAULT]]),
                     )[0]
                 )
 
             if code == FB_SUCCESS and k > 0:
-                lifecycle.complete(
-                    float(channel_draws[0, column, 1]), round_index
-                )
+                lifecycle.complete(draws[_U_WINNER], round_index)
                 session = None
             elif k > 0 and round_index < rounds:
                 if not collision_detection:
@@ -1087,8 +1105,8 @@ def _run_open_scalar(
                     session.observe(Observation.SILENCE)
 
             lifecycle.end_round(round_index)
-            if not lifecycle.pending:
-                session = None
+            sessions[t] = session if lifecycle.pending else None
+    for lifecycle in lifecycles:
         lifecycle.finish()
 
 
@@ -1111,7 +1129,7 @@ def run_open(
     """Serve ``arrivals`` with ``protocol`` on ``trials`` open channels.
 
     Each trial is one independent channel observed for ``rounds`` rounds:
-    requests stream in from a private clone of ``arrivals``, the
+    requests stream in from its own copy of ``arrivals``, the
     ``admission`` policy (default: the hard ``capacity`` cap only)
     gates entry to the service buffer, an optional ``timeout`` evicts
     requests after that many rounds in the buffer, and the ``retry``
@@ -1125,22 +1143,33 @@ def run_open(
     one stacked run of several points (see "Stacked rows" above) whose
     result holds one store per member, each bit-identical to the
     member's solo run.  ``trials`` is then the members' total and each
-    member brings its own seed, so ``seed`` must be left unset; it
-    defaults to 2021 for a single process.
+    member brings its own seed and retry policy, so ``seed`` and
+    ``retry`` must be left unset; for a single process the seed
+    defaults to 2021.
 
     Two runs with the same ``seed`` and consecutive ``trial_offset``
     windows merge (``store.merge``) to exactly the store of one combined
-    run - the sharding contract of the satellite seed-hygiene task.
+    run, at any offsets (see "Faithfulness and the stream contract").
     """
     if isinstance(arrivals, ArrivalProcess):
         members = [
-            OpenMember(arrivals, trials, 2021 if seed is None else seed)
+            OpenMember(
+                arrivals,
+                trials,
+                2021 if seed is None else seed,
+                GiveUpPolicy() if retry is None else retry,
+            )
         ]
     else:
         members = list(arrivals)
         if seed is not None:
             raise ValueError(
                 "stacked members carry their own seeds; leave seed unset"
+            )
+        if retry is not None:
+            raise ValueError(
+                "stacked members carry their own retry policies; leave "
+                "retry unset"
             )
         if not members or any(member.trials < 1 for member in members):
             raise ValueError("a stacked run needs members of >= 1 trial each")
@@ -1166,12 +1195,12 @@ def run_open(
         raise ValueError(f"timeout must be >= 1 or None, got {timeout}")
     if trial_offset < 0:
         raise ValueError(f"trial_offset must be >= 0, got {trial_offset}")
-    retry = retry if retry is not None else GiveUpPolicy()
     admission = admission if admission is not None else HardCapacityPolicy()
-    if not isinstance(retry, RetryPolicy):
-        raise ValueError(
-            f"retry must be a RetryPolicy, got {type(retry).__name__}"
-        )
+    for member in members:
+        if not isinstance(member.retry, RetryPolicy):
+            raise ValueError(
+                f"retry must be a RetryPolicy, got {type(member.retry).__name__}"
+            )
     if not isinstance(admission, AdmissionPolicy):
         raise ValueError(
             f"admission must be an AdmissionPolicy, got "
@@ -1181,31 +1210,22 @@ def run_open(
     model = channel.active_model
     engine = select_engine(protocol, batch, model=model, open_system=True)
 
-    processes = [
-        member.arrivals.clone()
-        for member in members
-        for _ in range(member.trials)
-    ]
-    streams = [
-        pair
-        for member in members
-        for pair in _trial_streams(member.seed, member.trials, trial_offset)
-    ]
-    split = _RowSplit([member.trials for member in members])
+    streams = _LaneStreams(members, trial_offset)
+    split = _RowSplit(members)
     if engine == ENGINE_OPEN_SCHEDULE:
         _run_open_schedule(
-            protocol, processes, streams, model, rounds, warmup, capacity,
-            timeout, admission, retry, split,
+            protocol, streams, model, rounds, warmup, capacity, timeout,
+            admission, split,
         )
     elif engine == ENGINE_OPEN_HISTORY:
         _run_open_history(
-            protocol, processes, streams, channel, model, rounds, warmup,
-            capacity, timeout, admission, retry, split,
+            protocol, streams, channel, model, rounds, warmup, capacity,
+            timeout, admission, split,
         )
     else:
         _run_open_scalar(
-            protocol, processes, streams, channel, model, rounds, warmup,
-            capacity, timeout, admission, retry, split,
+            protocol, streams, channel, model, rounds, warmup, capacity,
+            timeout, admission, split,
         )
     for member, store in zip(members, split.stores):
         store.round_slots += member.trials * (rounds - warmup)

@@ -30,12 +30,13 @@ oracle execute them identically (and stay bit-identical per trial).
 Determinism contract
 --------------------
 Policies that consume randomness (``shed``, ``backoff`` with jitter)
-draw it from one extra pre-drawn uniform column per round of the
-per-trial channel stream - the same absolute-block pre-draw discipline
-as the band and winner draws, so stream shapes never depend on the
-population.  A single round can fail several requests; the j-th retry
-scheduled in a round derives its jitter uniform from the round's single
-retry draw by a Weyl rotation (:func:`weyl_uniforms`), which is
+read it from the admission and retry columns of the driver's per-round
+uniform block - drawn on every run, used or not, with the same
+absolute-block lane discipline as the band and winner draws, so stream
+shapes never depend on the population or on the policies.  A single
+round can fail several requests; the j-th retry scheduled in a round
+derives its jitter uniform from the round's single retry draw by a Weyl
+rotation (:func:`weyl_uniforms`), which is
 deterministic, order-stable, and identical across engines.  Numeric
 kernels (:func:`weyl_uniforms`, :meth:`OccupancySheddingPolicy.
 shed_probability`, :meth:`RetryPolicy.delays`) are shared by the
@@ -105,7 +106,7 @@ class RetryPolicy(ABC):
     """
 
     name: str
-    #: Whether the driver must pre-draw one retry uniform per round.
+    #: Whether :meth:`delays` takes per-request jitter uniforms.
     needs_draws: bool = False
     #: Maximum retries per request (``None`` = unlimited).
     budget: int | None = None
@@ -168,9 +169,9 @@ class ExponentialBackoffPolicy(RetryPolicy):
 
     The ``retries``-th retry waits ``min(base * 2**(retries-1), cap)``
     rounds plus a jitter of ``floor(u * (jitter + 1))`` in
-    ``[0, jitter]`` drawn from the per-trial channel stream.  The
-    uncapped doubling is precomputed into an integer table, so both
-    engines look delays up exactly - no floating-point powers.
+    ``[0, jitter]`` drawn from the trial's retry column of the channel
+    stream.  The uncapped doubling is precomputed into an integer table,
+    so both engines look delays up exactly - no floating-point powers.
     """
 
     def __init__(
@@ -242,14 +243,15 @@ class AdmissionState(ABC):
         occupancy: np.ndarray,
         candidates: np.ndarray,
         capacity: int,
-        draws: np.ndarray | None,
+        draws: np.ndarray,
     ) -> np.ndarray:
         """Admissions the policy grants this round (int64, per trial).
 
         ``candidates`` counts this round's presentations (rejoins plus
         fresh arrivals); ``occupancy`` is the buffer fill *before* any
-        are admitted.  The driver separately clamps the grant to the
-        physical ``capacity - occupancy``.
+        are admitted; ``draws`` is the round's admission uniform per
+        trial, for policies that gamble.  The driver separately clamps
+        the grant to the physical ``capacity - occupancy``.
         """
 
     def commit(self, admitted: np.ndarray) -> None:
@@ -265,8 +267,6 @@ class AdmissionPolicy(ABC):
     """Whether a presenting request is let into the service buffer."""
 
     name: str
-    #: Whether the driver must pre-draw one admission uniform per round.
-    needs_draws: bool = False
 
     @abstractmethod
     def state(self, trials: int) -> AdmissionState:
@@ -324,9 +324,12 @@ class _SheddingState(AdmissionState):
         self._policy = policy
 
     def quota(self, occupancy, candidates, capacity, draws):
-        shed_p = self._policy.shed_probability(
-            occupancy.astype(np.float64) / capacity
-        )
+        frac = occupancy.astype(np.float64) / capacity
+        if frac.max() <= self._policy.threshold:
+            # No trial is above the ramp: every shed probability is 0
+            # and no uniform in [0, 1) falls below it.
+            return candidates
+        shed_p = self._policy.shed_probability(frac)
         return np.where(draws < shed_p, 0, candidates)
 
 
@@ -341,8 +344,6 @@ class OccupancySheddingPolicy(AdmissionPolicy):
     per-round granularity the driver works in), which keeps the stream
     contract population-independent.
     """
-
-    needs_draws = True
 
     def __init__(self, *, threshold: float = 0.5, power: float = 1.0) -> None:
         if not (0.0 <= threshold < 1.0):

@@ -527,7 +527,12 @@ def _run_open_group(
     outcome = run_open(
         first.protocol,
         [
-            OpenMember(resolved.arrivals, resolved.spec.trials, resolved.spec.seed)
+            OpenMember(
+                resolved.arrivals,
+                resolved.spec.trials,
+                resolved.spec.seed,
+                resolved.retry,
+            )
             for resolved in members
         ],
         channel=first.channel,
@@ -536,7 +541,6 @@ def _run_open_group(
         warmup=spec.warmup,
         capacity=spec.capacity,
         timeout=spec.timeout,
-        retry=first.retry,
         admission=first.admission,
         batch=spec.batch,
     )
@@ -576,12 +580,12 @@ def open_fusion_key(resolved: ResolvedOpenScenario) -> str | None:
     """The stacking class of a resolved open point, or ``None``.
 
     Points sharing a key run as rows of one driver run: the key is the
-    whole spec except ``seed``, ``name``, ``arrivals`` and ``trials``,
-    which the stacked driver takes per member.  ``None`` marks points
-    that always run alone: the ``open-scalar`` engine (the oracle stays a
-    plain per-point loop) and channel models that opt out of stacking
-    (:attr:`~repro.channel.models.ChannelModel.fusable` is False - the
-    adaptive adversaries).
+    whole spec except ``seed``, ``name``, ``arrivals``, ``trials`` and
+    ``retry``, which the stacked driver takes per member.  ``None`` marks
+    points that always run alone: the ``open-scalar`` engine (the oracle
+    stays a plain per-point loop) and channel models that opt out of
+    stacking (:attr:`~repro.channel.models.ChannelModel.fusable` is
+    False - the adaptive adversaries).
     """
     model = resolved.channel.active_model
     if resolved.engine == ENGINE_OPEN_SCALAR or (
@@ -589,7 +593,7 @@ def open_fusion_key(resolved: ResolvedOpenScenario) -> str | None:
     ):
         return None
     shared = resolved.spec.to_dict()
-    for name in ("seed", "name", "arrivals", "trials"):
+    for name in ("seed", "name", "arrivals", "trials", "retry"):
         del shared[name]
     return json.dumps(shared, sort_keys=True)
 

@@ -54,8 +54,9 @@ __all__ = [
 
 #: Version of the on-disk entry format.  Part of every :func:`spec_key`,
 #: so a format change invalidates the whole cache by construction - old
-#: entries simply stop being addressable and miss cleanly.
-SCHEMA_VERSION = 1
+#: entries simply stop being addressable and miss cleanly.  Version 2:
+#: open runs draw lane streams, so version-1 open results are stale.
+SCHEMA_VERSION = 2
 
 
 def _canonical_json(payload: object) -> str:

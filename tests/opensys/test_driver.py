@@ -34,6 +34,7 @@ from repro.opensys import (
     PoissonArrivals,
     TokenBucketPolicy,
     ZipfHotspotArrivals,
+    arrival_process_from_dict,
     run_open,
 )
 from repro.core.protocol import ProtocolError
@@ -243,9 +244,10 @@ class TestPolicyBitIdentity:
 class TestZeroPolicyPinning:
     """Default policies must reproduce the pre-policy driver exactly.
 
-    The expected stores are pinned from the PR 7 driver (captured before
-    the lifecycle refactor); equality on every shared key proves the
-    refactor is invisible when no policy is active.
+    The expected stores are pinned from the scalar oracle under the lane
+    stream contract; the pre-policy driver's keys (``hist``, arrivals,
+    drops, timeouts, in-flight, slots) must match them, and the policy
+    counters must stay idle.
     """
 
     def test_decay_store_is_unchanged(self):
@@ -263,13 +265,14 @@ class TestZeroPolicyPinning:
         data = result.store.to_dict()
         expected = {
             "hist": [
-                0, 40, 19, 11, 10, 14, 6, 6, 11, 6, 6, 9, 8, 4, 6, 3, 3, 5,
-                3, 3, 2, 5, 4, 3, 2, 2, 0, 2, 1, 1, 1, 2, 0, 0, 2, 2, 0, 2,
+                0, 56, 26, 13, 15, 5, 2, 6, 4, 7, 11, 4, 4, 3, 1, 1, 2, 1,
+                1, 4, 3, 1, 2, 3, 5, 2, 1, 0, 0, 2, 3, 0, 0, 1, 1, 1, 0, 1,
+                0, 1, 1,
             ],
-            "arrivals": 244,
+            "arrivals": 235,
             "dropped": 0,
-            "timed_out": 5,
-            "in_flight": 13,
+            "timed_out": 18,
+            "in_flight": 0,
             "round_slots": 1080,
         }
         for key, value in expected.items():
@@ -290,11 +293,15 @@ class TestZeroPolicyPinning:
         )
         data = result.store.to_dict()
         expected = {
-            "hist": [0, 2, 3, 6, 16, 8, 8, 7, 8, 3, 2, 1, 1, 2, 0, 0, 0, 0, 2],
-            "arrivals": 73,
+            "hist": [
+                0, 7, 5, 7, 7, 4, 6, 7, 0, 4, 5, 1, 3, 1, 0, 2, 0, 0, 2, 0,
+                0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 1,
+            ],
+            "arrivals": 67,
             "dropped": 0,
             "timed_out": 0,
-            "in_flight": 4,
+            "in_flight": 2,
             "round_slots": 800,
         }
         for key, value in expected.items():
@@ -367,6 +374,195 @@ class TestDeterminismAndSharding:
         base = run_open(protocol, arrivals, **common)
         offset = run_open(protocol, arrivals, trial_offset=4, **common)
         assert base.store != offset.store
+
+
+class TestLaneStreams:
+    """Trials draw from 64-trial lanes at absolute trial indices."""
+
+    @pytest.mark.parametrize("batch", [None, False], ids=["vectorized", "scalar"])
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            PoissonArrivals(0.35),
+            arrival_process_from_dict(
+                {"family": "bursty", "devices": 12, "thin": 0.1,
+                 "burst_arrival": 0.3}
+            ),
+        ],
+        ids=["poisson", "bursty"],
+    )
+    def test_shards_at_mid_lane_and_cross_lane_offsets_merge(
+        self, batch, arrivals
+    ):
+        protocol = DecayProtocol(N)
+        common = dict(
+            channel=without_collision_detection(),
+            rounds=96,
+            warmup=0,
+            capacity=10,
+            timeout=20,
+            retry=ExponentialBackoffPolicy(base=2, cap=16, jitter=3, budget=4),
+            admission=OccupancySheddingPolicy(threshold=0.3),
+            seed=11,
+            batch=batch,
+        )
+        whole = run_open(protocol, arrivals, trials=150, **common).store
+        cuts = (0, 37, 64, 100, 150)
+        shards = [
+            run_open(
+                protocol, arrivals, trials=hi - lo, trial_offset=lo, **common
+            ).store
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        merged = shards[0]
+        for shard in shards[1:]:
+            merged = merged.merge(shard)
+        assert merged == whole
+        assert whole.retried > 0 and whole.abandoned > 0
+
+    def test_rows_after_the_last_kept_trial_are_not_drawn(self):
+        drawn = []
+
+        class Recording(PoissonArrivals):
+            def sample_lane(self, rng, rows, rounds):
+                drawn.append(len(rows))
+                return super().sample_lane(rng, rows, rounds)
+
+        common = dict(
+            channel=without_collision_detection(), rounds=70, seed=2
+        )
+        run_open(DecayProtocol(N), Recording(0.2), trials=3, **common)
+        assert drawn == [3, 3, 3]
+        drawn.clear()
+        run_open(
+            DecayProtocol(N), Recording(0.2), trials=5, trial_offset=62,
+            **common,
+        )
+        assert drawn == [64, 3] * 3
+
+    def test_store_does_not_depend_on_unused_policies(self):
+        """Every run draws all five uniform columns, so switching on a
+        policy that never fires leaves the streams - and the store - as
+        they were."""
+        common = dict(
+            channel=without_collision_detection(),
+            trials=70,
+            rounds=96,
+            capacity=64,
+            seed=4,
+        )
+        plain = run_open(DecayProtocol(N), PoissonArrivals(0.05), **common)
+        idle = run_open(
+            DecayProtocol(N),
+            PoissonArrivals(0.05),
+            retry=ExponentialBackoffPolicy(jitter=5),
+            admission=OccupancySheddingPolicy(threshold=0.99, power=50.0),
+            **common,
+        )
+        assert idle.store.retried == 0 and idle.store.dropped == 0
+        assert idle.store == plain.store
+
+    def test_orbit_buckets_own_their_arrays(self):
+        """A bucket must not be a view that pins its whole failure batch."""
+        from repro.opensys.driver import _BatchLifecycle, _RowSplit
+
+        retry = ExponentialBackoffPolicy(base=1, cap=64, jitter=8)
+        split = _RowSplit([OpenMember(PoissonArrivals(0.1), 4, 0, retry)])
+        lifecycle = _BatchLifecycle(
+            capacity=2,
+            timeout=None,
+            warmup=0,
+            admission=HardCapacityPolicy(),
+            split=split,
+        )
+        lifecycle.begin_round(
+            1,
+            np.array([9, 3, 0, 12], dtype=np.int64),
+            np.zeros(4),
+            np.array([0.1, 0.5, 0.7, 0.9]),
+        )
+        chunks = [chunk for bucket in lifecycle._orbit.values() for chunk in bucket]
+        assert len(lifecycle._orbit) > 1
+        assert sum(chunk.shape[1] for chunk in chunks) == 7 + 1 + 10
+        assert all(chunk.base is None for chunk in chunks)
+
+
+class TestMixedRetryMembers:
+    """Members with different retry policies stack into one run."""
+
+    MEMBERS = (
+        (PoissonArrivals(0.4), 5, 3, GiveUpPolicy()),
+        (
+            ZipfHotspotArrivals(0.2, alpha=1.1, max_batch=5),
+            9,
+            4,
+            ImmediateRetryPolicy(budget=3),
+        ),
+        (
+            PoissonArrivals(0.5),
+            70,
+            5,
+            ExponentialBackoffPolicy(base=2, cap=16, jitter=4, budget=4),
+        ),
+    )
+
+    def run_members(self, protocol, channel, batch):
+        members = [OpenMember(*member) for member in self.MEMBERS]
+        common = dict(
+            channel=channel,
+            rounds=128,
+            capacity=6,
+            timeout=9,
+            admission=OccupancySheddingPolicy(threshold=0.5),
+            batch=batch,
+        )
+        stacked = run_open(
+            protocol, members, trials=sum(m.trials for m in members), **common
+        )
+        solo = [
+            run_open(
+                protocol, m.arrivals, trials=m.trials, seed=m.seed,
+                retry=m.retry, **common,
+            )
+            for m in members
+        ]
+        return stacked, solo
+
+    @pytest.mark.parametrize(
+        "protocol,channel,batch,engine",
+        [
+            (DecayProtocol(N), without_collision_detection(), None,
+             ENGINE_OPEN_SCHEDULE),
+            (WillardProtocol(N), with_collision_detection(), None,
+             ENGINE_OPEN_HISTORY),
+            (DecayProtocol(N), without_collision_detection(), False,
+             ENGINE_OPEN_SCALAR),
+        ],
+        ids=["open-schedule", "open-history", "open-scalar"],
+    )
+    def test_each_member_equals_its_solo_run(
+        self, protocol, channel, batch, engine
+    ):
+        stacked, solo = self.run_members(protocol, channel, batch)
+        assert stacked.engine == engine
+        assert list(stacked.stores) == [result.store for result in solo]
+        give_up, immediate, backoff = stacked.stores
+        assert give_up.retried == 0 and give_up.dropped > 0
+        assert immediate.retried > 0 and backoff.retried > 0
+
+    @pytest.mark.parametrize(
+        "protocol,channel",
+        [
+            (DecayProtocol(N), without_collision_detection()),
+            (WillardProtocol(N), with_collision_detection()),
+        ],
+        ids=["schedule", "history"],
+    )
+    def test_stacked_run_equals_the_scalar_oracle(self, protocol, channel):
+        vectorized, _ = self.run_members(protocol, channel, None)
+        scalar, _ = self.run_members(protocol, channel, False)
+        assert scalar.engine == ENGINE_OPEN_SCALAR
+        assert vectorized.stores == scalar.stores
 
 
 class TestAccounting:
@@ -571,17 +767,20 @@ class TestStackedMembers:
         (PoissonArrivals(0.5), 2, 5),
     )
 
-    def stacked_and_solo(self, protocol, channel, **kwargs):
+    def stacked_and_solo(self, protocol, channel, retry=None, **kwargs):
         common = dict(channel=channel, rounds=160, **kwargs)
         members = [
-            OpenMember(arrivals, trials, seed)
+            OpenMember(arrivals, trials, seed, retry or GiveUpPolicy())
             for arrivals, trials, seed in self.MEMBERS
         ]
         stacked = run_open(
             protocol, members, trials=sum(m.trials for m in members), **common
         )
         solo = [
-            run_open(protocol, m.arrivals, trials=m.trials, seed=m.seed, **common)
+            run_open(
+                protocol, m.arrivals, trials=m.trials, seed=m.seed,
+                retry=m.retry, **common,
+            )
             for m in members
         ]
         return stacked, solo
@@ -643,6 +842,17 @@ class TestStackedMembers:
             run_open(DecayProtocol(N), members, trials=5, **common)
         with pytest.raises(ValueError, match="their own seeds"):
             run_open(DecayProtocol(N), members, trials=6, seed=1, **common)
+        with pytest.raises(ValueError, match="their own retry policies"):
+            run_open(
+                DecayProtocol(N), members, trials=6,
+                retry=ImmediateRetryPolicy(), **common,
+            )
+        with pytest.raises(ValueError, match="RetryPolicy"):
+            run_open(
+                DecayProtocol(N),
+                [OpenMember(PoissonArrivals(0.1), 3, 1, "immediate")],
+                trials=3, **common,
+            )
         with pytest.raises(ValueError, match=">= 1 trial"):
             run_open(DecayProtocol(N), [], trials=0, **common)
         result = run_open(DecayProtocol(N), members, trials=6, **common)

@@ -6,6 +6,7 @@ import pytest
 from repro.channel.arrivals import MIN_COUNT, MarkovBurstArrivals, TraceArrivals
 from repro.opensys import (
     ARRIVAL_FAMILIES,
+    ArrivalProcess,
     ClampedArrivalSizeSource,
     PoissonArrivals,
     ThinnedArrivals,
@@ -136,3 +137,75 @@ class TestRegistry:
             arrival_process_from_dict({"family": "poisson"})
         with pytest.raises(ValueError, match="unknown parameter"):
             arrival_process_from_dict({"family": "poisson", "rate": 1, "x": 2})
+
+
+class CountingArrivals(ArrivalProcess):
+    """A stateful process that only defines ``sample_rounds``."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def sample_rounds(self, rng, rounds):
+        self.calls += 1
+        return rng.integers(0, 4, size=rounds) * (self.calls % 2)
+
+    @property
+    def offered_load(self):
+        return 0.75
+
+    def reset(self):
+        self.calls = 0
+
+
+LANE_PROCESSES = {
+    "poisson": lambda: PoissonArrivals(0.7),
+    "zipf-hotspot": lambda: ZipfHotspotArrivals(0.4, alpha=0.8, max_batch=6),
+    "bursty": lambda: arrival_process_from_dict(
+        {"family": "bursty", "devices": 40, "thin": 0.3, "burst_arrival": 0.3}
+    ),
+    "trace": lambda: arrival_process_from_dict(
+        {"family": "trace", "counts": [3, 1, 4, 1, 5, 9, 2], "thin": 0.5}
+    ),
+    "sample-rounds-only": CountingArrivals,
+}
+
+
+class TestSampleLane:
+    """A lane draw equals its rows' sample_rounds calls, one after another."""
+
+    @pytest.mark.parametrize("family", sorted(LANE_PROCESSES))
+    def test_lane_equals_sequential_rows(self, family):
+        process = LANE_PROCESSES[family]()
+        assert set(LANE_PROCESSES) >= set(ARRIVAL_FAMILIES)
+        copies = process.lane_rows(5)
+        rows = [process.clone() for _ in range(5)]
+        lane_rng, row_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for width in (7, 7, 3):
+            block = process.sample_lane(lane_rng, copies, width)
+            expected = np.stack([row.sample_rounds(row_rng, width) for row in rows])
+            assert block.shape == (5, width) and block.dtype == np.int64
+            np.testing.assert_array_equal(block, expected)
+        assert lane_rng.random() == row_rng.random()
+
+    def test_a_prefix_of_rows_draws_a_prefix_of_the_lane(self):
+        """Rows after the last one a run keeps can go undrawn."""
+        process = LANE_PROCESSES["sample-rounds-only"]()
+        full = process.sample_lane(
+            np.random.default_rng(4), process.lane_rows(6), 5
+        )
+        head = process.sample_lane(
+            np.random.default_rng(4), process.lane_rows(2), 5
+        )
+        np.testing.assert_array_equal(head, full[:2])
+
+    def test_default_rows_are_independent_clones(self):
+        process = CountingArrivals()
+        process.sample_rounds(np.random.default_rng(0), 2)
+        copies = process.lane_rows(3)
+        assert len({id(copy) for copy in copies}) == 3
+        assert all(copy.calls == 0 for copy in copies) and process.calls == 1
+        process.sample_lane(np.random.default_rng(1), copies, 2)
+        assert [copy.calls for copy in copies] == [1, 1, 1]
+        assert process.calls == 1

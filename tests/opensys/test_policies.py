@@ -171,7 +171,6 @@ class TestShedding:
 
     def test_quota_is_all_or_nothing_per_round(self):
         policy = OccupancySheddingPolicy(threshold=0.0, power=1.0)
-        assert policy.needs_draws
         state = policy.state(trials=2)
         occupancy = np.asarray([5, 5], dtype=np.int64)
         candidates = np.asarray([3, 3], dtype=np.int64)

@@ -396,13 +396,13 @@ FUSED_SWEEPS = {
         {**EXAMPLE_OPEN_SWEEP, "base": {**EXAMPLE_OPEN_SWEEP["base"], "warmup": 0}},
         [256],
     ),
-    "example-retry": (EXAMPLE_OPEN_RETRY_SWEEP, [32, 32, 32]),
+    "example-retry": (EXAMPLE_OPEN_RETRY_SWEEP, [96]),
     "example-retry-warmup0": (
         {
             **EXAMPLE_OPEN_RETRY_SWEEP,
             "base": {**EXAMPLE_OPEN_RETRY_SWEEP["base"], "warmup": 0},
         },
-        [32, 32, 32],
+        [96],
     ),
     "willard-cd": (
         {"base": _open_base(protocol={"id": "willard"}, channel="cd"), "grid": RATES},
@@ -517,6 +517,30 @@ class TestFusedSweep:
         extra = points[0].override({"batch": False, "name": "oracle"})
         resolved = [resolve_open_scenario(p) for p in [*points, extra, points[1]]]
         assert open_fusion_groups(resolved) == [[0, 1, 5], [2, 3], [4]]
+
+    def test_retry_kind_by_load_grid_is_one_group(self):
+        """Retry policies ride per member, so a retry x load grid stacks."""
+        from repro.scenarios import open_fusion_groups
+
+        sweep = OpenSweep.from_dict(
+            {
+                "base": _open_base(
+                    trials=64,
+                    capacity=16,
+                    timeout=24,
+                    retry={"kind": "backoff", "params": {}},
+                    admission={"kind": "shed", "params": {"threshold": 0.5}},
+                ),
+                "grid": {
+                    "retry.kind": ["give-up", "immediate", "backoff"],
+                    "arrivals.params.rate": [0.15, 0.45],
+                },
+                "vary_seed": True,
+            }
+        )
+        resolved = [resolve_open_scenario(p) for p in sweep.points()]
+        assert len({r.retry.name for r in resolved}) == 3
+        assert open_fusion_groups(resolved) == [list(range(6))]
 
     def test_fused_members_share_the_group_wall_clock(self):
         result = run_open_sweep(
