@@ -24,6 +24,7 @@ of the RNG stream (deterministic player protocols agree exactly).
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
@@ -121,11 +122,20 @@ def _resolve_protocol(factory: UniformFactory) -> Callable[[], UniformProtocol]:
     return factory
 
 
+def _fixed_size(source: SizeSource) -> int | None:
+    """``source`` as a fixed participant count, or ``None`` if it is not
+    one.  Any integral type counts (NumPy integers included)."""
+    if not isinstance(source, numbers.Integral):
+        return None
+    if source < 1:
+        raise ValueError(f"fixed size must be >= 1, got {source}")
+    return int(source)
+
+
 def _resolve_size(source: SizeSource) -> Callable[[np.random.Generator], int]:
-    if isinstance(source, int):
-        if source < 1:
-            raise ValueError(f"fixed size must be >= 1, got {source}")
-        return lambda rng: source
+    size = _fixed_size(source)
+    if size is not None:
+        return lambda rng: size
     if hasattr(source, "sample"):
         return source.sample
     return source
@@ -140,10 +150,9 @@ def _draw_size_batch(
     is drawn in one vectorized call; bare callables fall back to the
     per-trial loop.
     """
-    if isinstance(source, int):
-        if source < 1:
-            raise ValueError(f"fixed size must be >= 1, got {source}")
-        return np.full(trials, source, dtype=np.int64)
+    size = _fixed_size(source)
+    if size is not None:
+        return np.full(trials, size, dtype=np.int64)
     if hasattr(source, "sample_many"):
         return np.asarray(source.sample_many(rng, trials), dtype=np.int64)
     return np.asarray([source(rng) for _ in range(trials)], dtype=np.int64)

@@ -22,44 +22,46 @@ distribution as drawing the binomial count, computed with one vectorized
 Python-level calls.  (This mirrors how round-driven network simulators
 batch their event loops.)
 
-Two engines, chosen by protocol capability:
+One round loop, two probability walks.  Every uniform protocol differs
+from the others only in how the next round's probability is chosen
+(Section 2.1), so :func:`_run_stacked` owns everything else about a
+round - the absolute-block uniform draws, the trichotomy band compare,
+the fault perturbation, retirement on the delivered success and the
+final censoring - over the flat live rows (:class:`_LiveRows`) of many
+*independent points* advanced together.  Point ``j`` draws from
+``rngs[j]`` in exactly the order a solo run would consume it, so a
+stacked run is bit-identical per point to running the points one at a
+time (the fused sweep executor's contract, and why a solo run *is* a
+1-point stacked run), while the per-round masking and retirement work
+is amortized across the whole stack.  The walk supplies the rest:
 
-* **Schedule engine** - for protocols whose full probability sequence is
-  known in advance (:meth:`~repro.core.protocol.UniformProtocol.batch_schedule`
-  returns a :class:`~repro.core.protocol.BatchSchedule`; the no-CD family
-  of Section 2.1).  No session objects at all: round ``r``'s success band
-  is a precomputed array lookup, uniforms are pre-drawn in 16-round
-  blocks per live trial, and a round costs one gather plus two
-  compares.  The engine also has a
-  **stacked** entry point (:func:`run_schedule_stacked`) advancing many
-  *independent points* - each with its own generator, participant counts
-  and schedule - through one shared round loop: point ``j``'s draws come
-  from ``rngs[j]`` in exactly the order a solo run would consume them, so
-  a stacked run is bit-identical per point to running the points one at a
-  time (the fused sweep executor's contract), while all per-round masking
-  and retirement work is amortized across the whole stack.
+* **Schedule walk** (:class:`_ScheduleWalk`, entry
+  :func:`run_schedule_stacked`) - for protocols whose full probability
+  sequence is known in advance
+  (:meth:`~repro.core.protocol.UniformProtocol.batch_schedule` returns a
+  :class:`~repro.core.protocol.BatchSchedule`; the no-CD family of
+  Section 2.1).  No session objects at all: round ``r``'s band edges
+  are a precomputed per-``(point, k)`` table lookup, and a one-shot
+  schedule censors its surviving trials at its horizon.
 
-* **History engine** - for feedback-driven (CD) protocols with
+* **History walk** (:class:`_HistoryWalk`, entry
+  :func:`run_history_stacked`) - for feedback-driven (CD) protocols with
   deterministic sessions.  All players of a CD execution see the same
   collision history ``b_1 b_2 ... b_r``, and a uniform CD algorithm is a
   deterministic function of that history (Section 2.1) - so two trials
-  with identical histories will use identical probabilities forever until
-  their histories diverge.  The engine is fully array-based: each live
-  trial carries an integer node id into a **history trie**
-  (:class:`_HistoryArena`) memoizing the history -> probability function,
-  so a round costs one memoized ``next_probability()`` per *distinct
-  history ever seen* (one session fork per trie node, amortized over all
-  trials, rounds and stacked points - never a per-round ``fork()``), one
-  uniform draw per live trial compared against trichotomy band edges
-  gathered from a per-round ``(node, k)`` band cache, and one
-  ``np.unique``-compacted child gather that advances every trial's node
-  down its observed branch.  Like the schedule engine it has a
-  **stacked** entry point (:func:`run_history_stacked`): points sharing a
-  :meth:`~repro.core.protocol.UniformProtocol.history_signature` also
-  share one trie, and each point consumes its own generator exactly as a
-  solo run would, so a solo run *is* a 1-point stacked run.  On a no-CD
-  channel every observation is ``QUIET``, so the trie is a single path
-  and the engine degenerates to a schedule walk with a live session.
+  with identical histories use identical probabilities until their
+  histories diverge.  Each live trial carries an integer node id into a
+  **history trie** (:class:`_HistoryArena`) memoizing the history ->
+  probability function: a round costs one memoized
+  ``next_probability()`` per *distinct history ever seen* (one session
+  fork per trie node, amortized over all trials, rounds and stacked
+  points), band edges from a per-round ``(node, k)`` cache, and one
+  ``np.unique``-compacted child gather that moves every survivor down
+  its observed branch.  Points sharing a
+  :meth:`~repro.core.protocol.UniformProtocol.history_signature` share
+  one trie.  On a no-CD channel every observation is ``QUIET``, so the
+  trie is a single path; a cycling schedule walked this way gives
+  results bit-identical to its schedule walk.
 
 Both match the scalar engine's termination conventions exactly: a trial
 retires at its first single-transmitter round (``rounds`` = that 1-based
@@ -87,7 +89,7 @@ from ..core.protocol import (
     UniformSession,
 )
 from .channel import Channel
-from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS
+from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, BatchFaultState
 from .simulator import DEFAULT_MAX_ROUNDS, _check_channel
 from .trace import BatchExecutionResult
 
@@ -135,41 +137,20 @@ def run_uniform_batch(
     ``ks[i]`` is trial ``i``'s participant count, and entry ``i`` of the
     returned :class:`~repro.channel.trace.BatchExecutionResult` is
     distributed exactly as a scalar execution with that count (see the
-    module docstring for why).  Raises :class:`ValueError` for protocols
-    that are not :func:`is_batchable` - callers wanting transparent
-    fallback should test the capability first.
+    module docstring for why).  A one-point stacked run, so the
+    single-scenario path and the fused sweep path share one
+    implementation.  Raises :class:`ValueError` for protocols that are
+    not :func:`is_batchable` - callers wanting transparent fallback
+    should test the capability first.
     """
-    ks = _validated_ks(ks)
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
     _check_channel(protocol.requires_collision_detection, channel)
-
     schedule = protocol.batch_schedule()
     if schedule is not None:
-        return _run_schedule_batch(schedule, ks, rng, channel, max_rounds)
-    if not protocol.deterministic_sessions:
-        raise ValueError(
-            f"protocol {protocol.name!r} has randomized sessions; use the "
-            "scalar engine (run_uniform) instead"
-        )
-    return _run_history_batch(protocol, ks, rng, channel, max_rounds)
-
-
-def _run_schedule_batch(
-    schedule: BatchSchedule,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-    channel: Channel,
-    max_rounds: int,
-) -> BatchExecutionResult:
-    """Advance every trial through a precomputed probability schedule.
-
-    A one-point stacked run: the single-scenario path and the fused sweep
-    path share one implementation, which is what makes a fused point
-    bit-identical to its standalone re-run.
-    """
-    return run_schedule_stacked(
-        [schedule], [ks], [rng], channel=channel, max_rounds=max_rounds
+        return run_schedule_stacked(
+            [schedule], [ks], [rng], channel=channel, max_rounds=max_rounds
+        )[0]
+    return run_history_stacked(
+        [protocol], [ks], [rng], channel=channel, max_rounds=max_rounds
     )[0]
 
 
@@ -191,25 +172,28 @@ _DRAW_BLOCK_ROUNDS = 16
 
 def _index_trial_combos(
     ks_arrays: Sequence[np.ndarray],
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index the distinct ``(point, k)`` pairs of a stacked run.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index the distinct ``(point, k)`` pairs ("combos") of a stacked run.
 
-    Band edges depend only on the pair, so both stacked engines compute
-    them per distinct pair ("combo") and gather: returns each point's
-    unique ``k`` values (as floats, band-arithmetic-ready) plus one flat
-    per-trial index into their concatenation.
+    Band edges depend only on the pair, so both walks compute them per
+    combo and gather.  Returns each combo's ``k`` (as a float,
+    band-arithmetic-ready) and point, plus one flat per-trial combo
+    index.
     """
-    unique_ks: list[np.ndarray] = []
+    combo_ks = []
     flat_cidx = np.empty(sum(ks.size for ks in ks_arrays), dtype=np.int64)
     offset = 0
     cursor = 0
     for ks in ks_arrays:
         uniques, inverse = np.unique(ks, return_inverse=True)
-        unique_ks.append(uniques.astype(float))
+        combo_ks.append(uniques.astype(float))
         flat_cidx[cursor : cursor + ks.size] = inverse + offset
         offset += uniques.size
         cursor += ks.size
-    return unique_ks, flat_cidx
+    combo_point = np.repeat(
+        np.arange(len(ks_arrays)), [uniques.size for uniques in combo_ks]
+    )
+    return np.concatenate(combo_ks), combo_point, flat_cidx
 
 
 def _refill_draw_block(
@@ -222,12 +206,11 @@ def _refill_draw_block(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pre-draw one :data:`_DRAW_BLOCK_ROUNDS` block of uniforms.
 
-    The shared half of both stacked engines' stream contract: one row
-    per live trial (in point order, each point's rows in trial order),
-    clipped per point to its own remaining horizon, drawn from the
-    point's own generator - so the shapes, and hence the streams, depend
-    only on the point's own trajectory and a solo run consumes the
-    identical sequence.
+    The closed engines' stream contract: one row per live trial (in
+    point order, each point's rows in trial order), clipped per point to
+    its own remaining horizon, drawn from the point's own generator - so
+    the shapes, and hence the streams, depend only on the point's own
+    trajectory and a solo run consumes the identical sequence.
 
     With ``with_fault`` (randomized channel models), each point draws a
     second, same-shaped block of fault uniforms immediately after its
@@ -296,44 +279,260 @@ def _schedule_probabilities(
     return probabilities[indices]
 
 
-def _success_bands(
-    schedule: BatchSchedule,
-    unique_ks: np.ndarray,
-    start_round: int,
-    length: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Success-band edges for ``length`` rounds from ``start_round``.
+def _band_edges(p: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trichotomy band edges of a round with ``k`` transmitters at ``p``.
 
-    Returns ``(lo, hi)`` of shape ``(length, unique_ks.size)``: round
-    ``start_round + i`` of a ``k = unique_ks[c]`` trial succeeds iff its
-    uniform draw lands in ``[lo[i, c], hi[i, c])``, where
-    ``lo = (1-p)^k`` (the silence mass) and ``hi - lo = kp(1-p)^(k-1)``
-    (the exactly-one-transmitter mass).
+    A round's uniform draw ``u`` means silence below ``lo = (1-p)^k``,
+    success in ``[lo, hi)`` with ``hi - lo = kp(1-p)^(k-1)`` (exactly one
+    transmitter) and collision above.  ``p`` and ``k`` (floats) broadcast.
+    ``k = 0`` (everyone crashed, or an idle open channel) yields
+    ``lo = hi = 1``: certain silence - the exponent clamp keeps ``p = 1``
+    from producing ``0 * 0**-1`` NaNs there.
     """
-    p = _schedule_probabilities(schedule, start_round, length)[:, None]
-    ks = unique_ks[None, :]
     miss = 1.0 - p
-    lo = miss**ks
-    hi = lo + ks * p * miss ** (ks - 1)
+    lo = miss**k
+    hi = lo + k * p * miss ** np.maximum(k - 1.0, 0.0)
     return lo, hi
 
 
-def _trial_bands(
-    p_trial: np.ndarray, k_eff: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial trichotomy band edges from per-trial counts.
+class _LiveRows:
+    """The live trials of a stacked run, one row each.
 
-    The population-shrinking path (crash models with a rejoin delay):
-    band edges are no longer a pure function of the static ``(point, k)``
-    combo, so they are computed per live trial from that trial's current
-    active count.  ``k_eff = 0`` (everyone dead) yields ``lo = hi = 1``:
-    certain silence - the exponent clamp keeps ``p = 1`` from producing
-    ``0 * 0**-1`` NaNs there.
+    Rows are grouped by point in point order, each point's rows in trial
+    order - exactly the order a solo run draws them in.  Per row:
+    ``trial`` (flat result index), ``point``, ``combo`` (index of its
+    distinct ``(point, k)`` pair: ``combo_point`` and float ``combo_ks``),
+    ``buffer_row`` (its row of the current draw block), ``ks`` (the
+    participant count, kept only for population-shrinking models) and
+    ``node`` (its history-trie node, kept only by the history walk).
+    :meth:`keep` filters all of them, and the fault state, at once.
     """
-    miss = 1.0 - p_trial
-    lo = miss**k_eff
-    hi = lo + k_eff * p_trial * miss ** np.maximum(k_eff - 1.0, 0.0)
-    return lo, hi
+
+    def __init__(
+        self,
+        ks_arrays: Sequence[np.ndarray],
+        fault_state: BatchFaultState | None,
+        shrinking: bool,
+    ) -> None:
+        sizes = [ks.size for ks in ks_arrays]
+        total = sum(sizes)
+        self.combo_ks, self.combo_point, self.combo = _index_trial_combos(
+            ks_arrays
+        )
+        self.trial = np.arange(total)
+        self.point = np.repeat(np.arange(len(sizes)), sizes)
+        self.buffer_row = np.arange(total)  # rewritten at each refill
+        self.ks = np.concatenate(ks_arrays) if shrinking else None
+        self.node: np.ndarray | None = None
+        self.fault_state = fault_state
+
+    @property
+    def size(self) -> int:
+        return self.trial.size
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every row where ``mask`` is False."""
+        self.trial = self.trial[mask]
+        self.point = self.point[mask]
+        self.combo = self.combo[mask]
+        self.buffer_row = self.buffer_row[mask]
+        if self.ks is not None:
+            self.ks = self.ks[mask]
+        if self.node is not None:
+            self.node = self.node[mask]
+        if self.fault_state is not None:
+            self.fault_state.filter(mask)
+
+
+def _run_stacked(
+    walk: _ScheduleWalk | _HistoryWalk,
+    ks_arrays: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    channel: Channel | None,
+    max_rounds: int,
+) -> list[BatchExecutionResult]:
+    """The one round loop of both stacked entries.
+
+    ``walk`` chooses each row's probability; this loop owns the rest of
+    a round, in this order:
+
+    1. ``walk.retire``: rows whose walk ended before this round's draw
+       retire unsolved with the rounds actually played (a one-shot
+       schedule's horizon, an exhausted history);
+    2. ``walk.bands``: per-row band edges - from per-row live counts
+       (``active_counts``, asked once per round before the outcome, the
+       scalar loop's ordering) under population-shrinking models;
+    3. one uniform per row from the absolute-block pre-draws
+       (:func:`_refill_draw_block`, the stream contract), compared with
+       the bands; an active fault model perturbs the full trichotomy
+       *after* the faithful outcome, consuming its own pre-drawn
+       uniform, and a row retires on the *delivered* success;
+    4. ``walk.observe`` / ``walk.descend``: the survivors' observations
+       move the history walk down its trie.
+
+    Survivors are right-censored at their point's horizon (the budget,
+    or a one-shot schedule's length), matching the scalar engine's
+    ``ExecutionResult`` convention.
+    """
+    model = channel.active_model if channel is not None else None
+    total = sum(ks.size for ks in ks_arrays)
+    solved = np.zeros(total, dtype=bool)
+    rounds = np.zeros(total, dtype=np.int64)
+    fault_state = model.batch_state(total) if model is not None else None
+    with_fault = model is not None and model.needs_fault_draws
+    shrinking = model is not None and model.shrinks_population
+    live = _LiveRows(ks_arrays, fault_state, shrinking)
+    walk.start(live)
+
+    horizons = walk.horizons
+    draw_buffer = fault_buffer = None
+    for round_index in range(1, int(horizons.max()) + 1):
+        walk.retire(round_index, live, rounds)
+        if live.size == 0:
+            break
+        k_eff = (
+            fault_state.active_counts(live.ks, round_index).astype(float)
+            if shrinking
+            else None
+        )
+        lo, hi = walk.bands(round_index, live, k_eff)
+
+        # Uniforms come in *absolute* blocks of _DRAW_BLOCK_ROUNDS rounds:
+        # at each block boundary every live point pre-draws one row per
+        # live trial (clipped to its own horizon) from its own generator.
+        # Boundaries and per-point shapes depend only on the point's own
+        # trajectory, so a solo run consumes the identical stream; between
+        # boundaries a round costs one gather and retirement just filters.
+        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
+        if column == 0:
+            counts = np.bincount(live.point, minlength=len(ks_arrays))
+            draw_buffer, fault_buffer = _refill_draw_block(
+                rngs, counts, horizons, round_index, live.size, with_fault
+            )
+            live.buffer_row = np.arange(live.size)
+        draws = draw_buffer[live.buffer_row, column]
+
+        if fault_state is None:
+            feedback = None
+            hit = (draws >= lo) & (draws < hi)
+        else:
+            feedback = np.where(
+                draws < lo,
+                FB_SILENCE,
+                np.where(draws < hi, FB_SUCCESS, FB_COLLISION),
+            )
+            fault_draws = (
+                fault_buffer[live.buffer_row, column]
+                if fault_buffer is not None
+                else None
+            )
+            feedback = fault_state.perturb(round_index, feedback, fault_draws)
+            hit = feedback == FB_SUCCESS
+        observed = walk.observe(round_index, draws, hi, feedback)
+        if hit.any():
+            winners = live.trial[hit]
+            solved[winners] = True
+            rounds[winners] = round_index
+            survive = ~hit
+            live.keep(survive)
+            if observed is not None:
+                observed = observed[survive]
+        if observed is not None and live.size:
+            walk.descend(live, observed)
+
+    rounds[live.trial] = horizons[live.point]
+    return _per_point_results(solved, rounds, ks_arrays, max_rounds)
+
+
+def _validated_stack(
+    kind: str,
+    points: int,
+    ks_list: Sequence[Sequence[int] | np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    max_rounds: int,
+) -> list[np.ndarray]:
+    """The validated per-point ``ks`` arrays of a stacked run."""
+    if not (points == len(ks_list) == len(rngs)):
+        raise ValueError(
+            f"stacked run needs one {kind}, ks array and rng per point; "
+            f"got {points}/{len(ks_list)}/{len(rngs)}"
+        )
+    if points == 0:
+        raise ValueError("stacked run needs at least one point")
+    if max_rounds < 1:
+        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    return [_validated_ks(ks) for ks in ks_list]
+
+
+class _ScheduleWalk:
+    """Probabilities read off each point's published schedule.
+
+    Band edges are tabulated per ``(point, k)`` combo for
+    :data:`_BAND_CHUNK_ROUNDS` rounds at a time (population-shrinking
+    models tabulate only the probabilities: their bands need per-row
+    live counts), and a one-shot schedule's surviving trials censor at
+    its horizon.
+    """
+
+    def __init__(
+        self, schedules: Sequence[BatchSchedule], max_rounds: int
+    ) -> None:
+        self._schedules = schedules
+        self.horizons = np.asarray([s.horizon(max_rounds) for s in schedules])
+        self._horizon_steps = set(self.horizons.tolist())
+        self._end = int(self.horizons.max())
+        # Per-round tables of the current chunk, covering rounds
+        # (base, base + length]: probabilities (rounds, points) and, off
+        # the population-shrinking path, band edges (rounds, combos).
+        self._base = self._length = 0
+        self._p = self._lo = self._hi = np.empty((0, 0))
+
+    def start(self, live: _LiveRows) -> None:
+        """Rows carry no walk state of their own."""
+
+    def retire(
+        self, round_index: int, live: _LiveRows, rounds: np.ndarray
+    ) -> None:
+        # Whole points whose (one-shot) horizon just ended censor their
+        # survivors at rounds-actually-played = horizon.
+        if round_index - 1 not in self._horizon_steps:
+            return
+        expired = self.horizons[live.point] < round_index
+        if expired.any():
+            rounds[live.trial[expired]] = self.horizons[live.point[expired]]
+            live.keep(~expired)
+
+    def bands(
+        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if round_index > self._base + self._length:
+            self._base = round_index - 1
+            self._length = min(_BAND_CHUNK_ROUNDS, self._end - self._base)
+            self._p = np.stack(
+                [
+                    _schedule_probabilities(s, round_index, self._length)
+                    for s in self._schedules
+                ],
+                axis=1,
+            )
+            if k_eff is None:
+                self._lo, self._hi = _band_edges(
+                    self._p[:, live.combo_point], live.combo_ks
+                )
+        row = round_index - self._base - 1
+        if k_eff is not None:
+            return _band_edges(self._p[row, live.point], k_eff)
+        return self._lo[row][live.combo], self._hi[row][live.combo]
+
+    def observe(
+        self,
+        round_index: int,
+        draws: np.ndarray,
+        hi: np.ndarray,
+        feedback: np.ndarray | None,
+    ) -> None:
+        """Schedules never branch on feedback: nothing to observe."""
+        return None
 
 
 def run_schedule_stacked(
@@ -367,182 +566,12 @@ def run_schedule_stacked(
     round; see :func:`_refill_draw_block`), and a trial retires on the
     *delivered* success.
     """
-    points = len(schedules)
-    if not (points == len(ks_list) == len(rngs)):
-        raise ValueError(
-            f"stacked run needs one schedule, ks array and rng per point; "
-            f"got {points}/{len(ks_list)}/{len(rngs)}"
-        )
-    if points == 0:
-        raise ValueError("stacked run needs at least one point")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
-    ks_arrays = [_validated_ks(ks) for ks in ks_list]
-    trials = np.asarray([ks.size for ks in ks_arrays])
-    horizons = np.asarray([s.horizon(max_rounds) for s in schedules])
-
-    model = channel.active_model if channel is not None else None
-
-    total = int(trials.sum())
-    solved = np.zeros(total, dtype=bool)
-    rounds = np.zeros(total, dtype=np.int64)
-    fault_state = model.batch_state(total) if model is not None else None
-    with_fault = model is not None and model.needs_fault_draws
-    shrinking = model is not None and model.shrinks_population
-    fault_buffer: np.ndarray | None = None
-
-    # Success bands depend only on (point, k): index the distinct pairs
-    # once ("combos") so each round's thresholds are two row gathers.
-    # Population-shrinking models void that invariant - their bands are
-    # recomputed per trial each round from the live active counts.
-    unique_ks, flat_cidx = _index_trial_combos(ks_arrays)
-    flat_ks = np.concatenate(ks_arrays) if shrinking else None
-
-    # Live rows, grouped by point in point order (each point's rows stay
-    # in trial order, exactly the order a solo run draws them in).
-    flat_trial = np.arange(total)
-    flat_point = np.repeat(np.arange(points), trials)
-
-    horizon_steps = set(int(h) for h in horizons)
-    lo_table = hi_table = p_table = None
-    chunk_base = chunk_len = 0  # tables cover (chunk_base, chunk_base + len]
-    draw_buffer = np.empty((0, 0))
-    buffer_row = np.arange(total)  # rewritten at the first block boundary
-
-    for round_index in range(1, int(horizons.max()) + 1):
-        # Retire whole points whose (one-shot) horizon just ended: their
-        # surviving trials censor at rounds-actually-played = horizon.
-        if round_index - 1 in horizon_steps:
-            expired = horizons[flat_point] < round_index
-            if expired.any():
-                gone = flat_trial[expired]
-                rounds[gone] = horizons[flat_point[expired]]
-                keep = ~expired
-                flat_trial = flat_trial[keep]
-                flat_point = flat_point[keep]
-                flat_cidx = flat_cidx[keep]
-                buffer_row = buffer_row[keep]
-                if flat_ks is not None:
-                    flat_ks = flat_ks[keep]
-                if fault_state is not None:
-                    fault_state.filter(keep)
-        if flat_trial.size == 0:
-            break
-
-        if round_index > chunk_base + chunk_len:
-            chunk_base = round_index - 1
-            chunk_len = min(_BAND_CHUNK_ROUNDS, int(horizons.max()) - chunk_base)
-            if shrinking:
-                # Only the per-round probabilities can be precomputed;
-                # band edges depend on the live per-trial counts.
-                p_table = np.stack(
-                    [
-                        _schedule_probabilities(s, round_index, chunk_len)
-                        for s in schedules
-                    ],
-                    axis=1,
-                )
-            else:
-                blocks = [
-                    _success_bands(schedule, uniques, round_index, chunk_len)
-                    for schedule, uniques in zip(schedules, unique_ks)
-                ]
-                lo_table = np.concatenate([lo for lo, _ in blocks], axis=1)
-                hi_table = np.concatenate([hi for _, hi in blocks], axis=1)
-        row = round_index - chunk_base - 1
-        if shrinking:
-            lo = hi = None
-        else:
-            lo = lo_table[row]
-            hi = hi_table[row]
-
-        # Uniform draws come in *absolute* blocks of _DRAW_BLOCK_ROUNDS
-        # rounds: at each block boundary every live point pre-draws one
-        # row of uniforms per live trial (clipped to its own horizon)
-        # from its own generator.  Block boundaries and per-point shapes
-        # depend only on the point's own trajectory, so a solo run
-        # consumes the identical stream; between boundaries a round costs
-        # one gather instead of one generator call per point.
-        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
-        if column == 0:
-            # The per-point live counts are only needed here, to shape
-            # the refill; between boundaries retirement just filters.
-            counts = np.bincount(flat_point, minlength=points)
-            draw_buffer, fault_buffer = _refill_draw_block(
-                rngs, counts, horizons, round_index, flat_trial.size,
-                with_fault,
-            )
-            buffer_row = np.arange(flat_trial.size)
-        draws = draw_buffer[buffer_row, column]
-
-        if fault_state is None:
-            hit = (draws >= lo[flat_cidx]) & (draws < hi[flat_cidx])
-        else:
-            # The same band compares, widened to the full trichotomy so
-            # the model can perturb the delivered feedback; a trial
-            # retires on the *delivered* success.
-            if shrinking:
-                # Per-trial bands from the live active counts (asked
-                # once per round, before the outcome - the scalar
-                # loop's active_count/binomial ordering).
-                k_eff = fault_state.active_counts(
-                    flat_ks, round_index
-                ).astype(float)
-                lo_trial, hi_trial = _trial_bands(
-                    p_table[row, flat_point], k_eff
-                )
-            else:
-                lo_trial = lo[flat_cidx]
-                hi_trial = hi[flat_cidx]
-            codes = np.where(
-                draws < lo_trial,
-                FB_SILENCE,
-                np.where(draws < hi_trial, FB_SUCCESS, FB_COLLISION),
-            )
-            fault_draws = (
-                fault_buffer[buffer_row, column]
-                if fault_buffer is not None
-                else None
-            )
-            codes = fault_state.perturb(round_index, codes, fault_draws)
-            hit = codes == FB_SUCCESS
-        if hit.any():
-            winners = flat_trial[hit]
-            solved[winners] = True
-            rounds[winners] = round_index
-            keep = ~hit
-            flat_trial = flat_trial[keep]
-            flat_point = flat_point[keep]
-            flat_cidx = flat_cidx[keep]
-            buffer_row = buffer_row[keep]
-            if flat_ks is not None:
-                flat_ks = flat_ks[keep]
-            if fault_state is not None:
-                fault_state.filter(keep)
-
-    # Whatever survives was right-censored: by the budget (rounds played =
-    # max_rounds) or by one-shot exhaustion (rounds played = schedule
-    # length), matching the scalar engine's ExecutionResult convention.
-    rounds[flat_trial] = horizons[flat_point]
-    return _per_point_results(solved, rounds, ks_arrays, max_rounds)
-
-
-def _run_history_batch(
-    protocol: UniformProtocol,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-    channel: Channel,
-    max_rounds: int,
-) -> BatchExecutionResult:
-    """Advance one history-driven point: a one-point stacked run.
-
-    As with the schedule engine, the single-scenario path and the fused
-    sweep path share one implementation, so a fused point is
-    bit-identical to its standalone re-run by construction.
-    """
-    return run_history_stacked(
-        [protocol], [ks], [rng], channel=channel, max_rounds=max_rounds
-    )[0]
+    ks_arrays = _validated_stack(
+        "schedule", len(schedules), ks_list, rngs, max_rounds
+    )
+    return _run_stacked(
+        _ScheduleWalk(schedules, max_rounds), ks_arrays, rngs, channel, max_rounds
+    )
 
 
 #: Observation-code -> enum for trie child expansion.  Indices match the
@@ -697,6 +726,91 @@ def _reset_shared_arena() -> None:
     _run_state.arena = None
 
 
+class _HistoryWalk:
+    """Probabilities memoized per distinct observation history.
+
+    Each row carries a node of the shared history-trie arena
+    (:attr:`_LiveRows.node`).  A round resolves the distinct live
+    ``(node, k)`` pairs once - one sort yields the distinct pairs and,
+    via their quotients, the distinct nodes - retires rows whose history
+    exhausted its schedule, gathers band edges per pair, and moves the
+    survivors to their observed child histories.
+    """
+
+    def __init__(
+        self,
+        protocols: Sequence[UniformProtocol],
+        channel: Channel,
+        max_rounds: int,
+    ) -> None:
+        self._arena = _arena_for_run()
+        run_token = next(_run_tokens)
+        self._roots = np.asarray(
+            [
+                self._arena.root_for(protocol, ("unshared", run_token, j))
+                for j, protocol in enumerate(protocols)
+            ],
+            dtype=np.int64,
+        )
+        self._cd = channel.collision_detection
+        self._max_rounds = max_rounds
+        self.horizons = np.full(len(protocols), max_rounds)  # none precomputable
+        self._pair_inverse = self._pair_node = self._pair_k = None
+
+    def start(self, live: _LiveRows) -> None:
+        live.node = self._roots[live.point]
+
+    def retire(
+        self, round_index: int, live: _LiveRows, rounds: np.ndarray
+    ) -> None:
+        combos = live.combo_ks.size
+        pair = live.node * combos + live.combo
+        unique_pair, self._pair_inverse = np.unique(pair, return_inverse=True)
+        self._pair_node = unique_pair // combos
+        self._pair_k = live.combo_ks[unique_pair % combos]
+        arena = self._arena
+        arena.resolve(np.unique(self._pair_node))
+        # Clean one-shot give-ups retire *before* the round's draw, with
+        # rounds actually played - the scalar ScheduleExhausted path.
+        if arena.any_exhausted:
+            expired = arena.exhausted[live.node]
+            if expired.any():
+                rounds[live.trial[expired]] = round_index - 1
+                live.keep(~expired)
+                self._pair_inverse = self._pair_inverse[~expired]
+
+    def bands(
+        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Exhausted histories keep NaN probabilities; their pairs are
+        # never gathered - every row on one just retired.
+        p = self._arena.probability[self._pair_node]
+        if k_eff is not None:
+            return _band_edges(p[self._pair_inverse], k_eff)
+        lo, hi = _band_edges(p, self._pair_k)
+        return lo[self._pair_inverse], hi[self._pair_inverse]
+
+    def observe(
+        self,
+        round_index: int,
+        draws: np.ndarray,
+        hi: np.ndarray,
+        feedback: np.ndarray | None,
+    ) -> np.ndarray | None:
+        """Every row's observation of the delivered feedback, or ``None``
+        in the last round (nothing descends past the budget)."""
+        if round_index >= self._max_rounds:
+            return None
+        if not self._cd:
+            return np.full(draws.size, OBS_QUIET, dtype=np.int64)
+        if feedback is None:
+            return np.where(draws >= hi, OBS_COLLISION, OBS_SILENCE)
+        return np.where(feedback == FB_COLLISION, OBS_COLLISION, OBS_SILENCE)
+
+    def descend(self, live: _LiveRows, observed: np.ndarray) -> None:
+        live.node = self._arena.descend(live.node, observed)
+
+
 def run_history_stacked(
     protocols: Sequence[UniformProtocol],
     ks_list: Sequence[np.ndarray],
@@ -724,27 +838,18 @@ def run_history_stacked(
     3. one uniform gather per live trial from per-point
        :data:`_DRAW_BLOCK_ROUNDS`-round pre-drawn blocks (absolute
        boundaries, shapes depending only on the point's own live count -
-       the same stream contract as the schedule engine) compared against
+       the same stream contract as the schedule walk) compared against
        ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges gathered
        from a ``(node, k)``-unique band cache;
     4. a ``np.unique``-compacted trie descent moving every surviving
        trial to its observed child history.
 
     The trichotomy bands make the round distribution-exact (engines only
-    ever observe silence / success / collision; module docstring), so
-    the old per-group ``rng.binomial`` draws and per-split session
-    ``fork()``s are gone entirely.
+    ever observe silence / success / collision; module docstring).
     """
-    points = len(protocols)
-    if not (points == len(ks_list) == len(rngs)):
-        raise ValueError(
-            f"stacked run needs one protocol, ks array and rng per point; "
-            f"got {points}/{len(ks_list)}/{len(rngs)}"
-        )
-    if points == 0:
-        raise ValueError("stacked run needs at least one point")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    ks_arrays = _validated_stack(
+        "protocol", len(protocols), ks_list, rngs, max_rounds
+    )
     for protocol in protocols:
         if not protocol.deterministic_sessions:
             raise ValueError(
@@ -752,168 +857,10 @@ def run_history_stacked(
                 "the scalar engine (run_uniform) instead"
             )
         _check_channel(protocol.requires_collision_detection, channel)
-    ks_arrays = [_validated_ks(ks) for ks in ks_list]
-    trials = np.asarray([ks.size for ks in ks_arrays])
-
-    model = channel.active_model
-
-    total = int(trials.sum())
-    solved = np.zeros(total, dtype=bool)
-    rounds = np.zeros(total, dtype=np.int64)
-    fault_state = model.batch_state(total) if model is not None else None
-    with_fault = model is not None and model.needs_fault_draws
-    shrinking = model is not None and model.shrinks_population
-    fault_buffer: np.ndarray | None = None
-
-    # Band edges depend only on (history node, k): index the distinct
-    # per-point ks once ("combos"), exactly as the schedule engine does.
-    # Population-shrinking models void that invariant - their bands are
-    # recomputed per trial each round from the live active counts.
-    unique_ks, flat_cidx = _index_trial_combos(ks_arrays)
-    combo_ks = np.concatenate(unique_ks)
-    flat_ks = np.concatenate(ks_arrays) if shrinking else None
-
-    arena = _arena_for_run()
-    run_token = next(_run_tokens)
-    roots = np.asarray(
-        [
-            arena.root_for(protocol, ("unshared", run_token, j))
-            for j, protocol in enumerate(protocols)
-        ],
-        dtype=np.int64,
+    return _run_stacked(
+        _HistoryWalk(protocols, channel, max_rounds),
+        ks_arrays,
+        rngs,
+        channel,
+        max_rounds,
     )
-
-    # Live rows, grouped by point in point order (each point's rows stay
-    # in trial order, exactly the order a solo run draws them in).
-    flat_trial = np.arange(total)
-    flat_point = np.repeat(np.arange(points), trials)
-    flat_node = roots[flat_point]
-
-    collision_detection = channel.collision_detection
-    horizons = np.full(points, max_rounds)  # no precomputable horizons
-    draw_buffer = np.empty((0, 0))
-    buffer_row = np.arange(total)  # rewritten at the first block boundary
-
-    for round_index in range(1, max_rounds + 1):
-        if flat_trial.size == 0:
-            break
-
-        # Per-round (node, k) band cache: one sort of the live pair keys
-        # yields the distinct (history, k) combinations *and* (via its
-        # quotients) the distinct live histories, so thresholds and
-        # memoized probabilities are computed once per distinct pair /
-        # node and gathered back to the trials.
-        pair = flat_node * combo_ks.size + flat_cidx
-        unique_pair, pair_inverse = np.unique(pair, return_inverse=True)
-        pair_node = unique_pair // combo_ks.size
-        arena.resolve(np.unique(pair_node))
-
-        # Clean one-shot give-ups retire *before* the round's draw, with
-        # rounds actually played - the scalar ScheduleExhausted path.
-        if arena.any_exhausted:
-            expired = arena.exhausted[flat_node]
-            if expired.any():
-                rounds[flat_trial[expired]] = round_index - 1
-                keep = ~expired
-                flat_trial = flat_trial[keep]
-                flat_point = flat_point[keep]
-                flat_node = flat_node[keep]
-                flat_cidx = flat_cidx[keep]
-                buffer_row = buffer_row[keep]
-                pair_inverse = pair_inverse[keep]
-                if flat_ks is not None:
-                    flat_ks = flat_ks[keep]
-                if fault_state is not None:
-                    fault_state.filter(keep)
-                if flat_trial.size == 0:
-                    break
-
-        # Exhausted histories keep NaN probabilities; their band rows are
-        # never gathered - every trial on one just retired.
-        p = arena.probability[pair_node]
-        if shrinking:
-            # Per-trial bands from the live active counts (asked once
-            # per round, before the outcome - the scalar loop's
-            # active_count/binomial ordering); the per-pair cache only
-            # supplies the memoized probabilities.
-            k_eff = fault_state.active_counts(flat_ks, round_index).astype(
-                float
-            )
-            lo, hi = _trial_bands(p[pair_inverse], k_eff)
-        else:
-            k = combo_ks[unique_pair % combo_ks.size]
-            miss = 1.0 - p
-            lo_pair = miss**k
-            hi_pair = lo_pair + k * p * miss ** (k - 1)
-            lo = lo_pair[pair_inverse]
-            hi = hi_pair[pair_inverse]
-
-        # Same absolute-block pre-draw contract as the schedule engine:
-        # per-point uniforms in trial order, shapes depending only on
-        # the point's own live count, unused draws of retired trials
-        # discarded (distribution-neutral).
-        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
-        if column == 0:
-            # The per-point live counts are only needed here, to shape
-            # the refill; between boundaries retirement just filters.
-            counts = np.bincount(flat_point, minlength=points)
-            draw_buffer, fault_buffer = _refill_draw_block(
-                rngs, counts, horizons, round_index, flat_trial.size,
-                with_fault,
-            )
-            buffer_row = np.arange(flat_trial.size)
-        draws = draw_buffer[buffer_row, column]
-
-        if fault_state is None:
-            feedback = None
-            hit = (draws >= lo) & (draws < hi)
-        else:
-            # Full trichotomy from the same band compares, perturbed by
-            # the model *after* the faithful outcome; retirement and the
-            # observed history both follow the *delivered* feedback.
-            feedback = np.where(
-                draws < lo,
-                FB_SILENCE,
-                np.where(draws < hi, FB_SUCCESS, FB_COLLISION),
-            )
-            fault_draws = (
-                fault_buffer[buffer_row, column]
-                if fault_buffer is not None
-                else None
-            )
-            feedback = fault_state.perturb(round_index, feedback, fault_draws)
-            hit = feedback == FB_SUCCESS
-        if hit.any():
-            winners = flat_trial[hit]
-            solved[winners] = True
-            rounds[winners] = round_index
-            survive = ~hit
-            flat_trial = flat_trial[survive]
-            flat_point = flat_point[survive]
-            flat_node = flat_node[survive]
-            flat_cidx = flat_cidx[survive]
-            buffer_row = buffer_row[survive]
-            draws = draws[survive]
-            hi = hi[survive]
-            if flat_ks is not None:
-                flat_ks = flat_ks[survive]
-            if feedback is not None:
-                feedback = feedback[survive]
-            if fault_state is not None:
-                fault_state.filter(survive)
-
-        if flat_trial.size and round_index < max_rounds:
-            if not collision_detection:
-                codes = np.full(flat_trial.size, OBS_QUIET, dtype=np.int64)
-            elif feedback is None:
-                codes = np.where(draws >= hi, OBS_COLLISION, OBS_SILENCE)
-            else:
-                codes = np.where(
-                    feedback == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
-                )
-            flat_node = arena.descend(flat_node, codes)
-
-    # Whatever survives was right-censored at the budget, matching the
-    # scalar engine's ExecutionResult convention.
-    rounds[flat_trial] = max_rounds
-    return _per_point_results(solved, rounds, ks_arrays, max_rounds)

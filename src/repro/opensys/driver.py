@@ -84,7 +84,7 @@ generators and rows draw in order, a trial's draws never depend on the
 rows after it: a run draws a lane only up to its last trial there, and
 one that starts mid-lane (a shard at any ``trial_offset``) draws the
 lane's rows from its start and keeps its own.  Together this makes the
-engines *bit-identical per trial*: the vectorized drivers and the scalar
+engines *bit-identical per trial*: the vectorized loop and the scalar
 oracle consume the very same blocks (unused draws are discarded, which
 is distribution-neutral), and a run sharded as ``trial_offset = 0..a``
 plus ``a..a+b`` merges to the unsharded run's store exactly.
@@ -108,13 +108,18 @@ is the one-member case.
 
 Engines
 -------
+One vectorized round loop (:func:`_run_open_vectorized`) runs the
+lifecycle, the band compare and the fault perturbation for every trial
+at once; the two vectorized engines differ only in the probability walk
+it steps (reset on a delivered success or a drained backlog, advanced on
+every other contended round):
+
 ``open-schedule``
-    Schedule-publishing protocols: the per-epoch probability is an array
-    lookup on a per-trial epoch counter; rounds are fully vectorized
-    across trials.
+    Schedule-publishing protocols (:class:`_EpochWalk`): the per-epoch
+    probability is an array lookup on a per-trial epoch counter.
 ``open-history``
-    Deterministic feedback-driven (CD) protocols: each trial carries a
-    node id into the shared history-trie arena of
+    Deterministic feedback-driven (CD) protocols (:class:`_TrieWalk`):
+    each trial carries a node id into the shared history-trie arena of
     :mod:`repro.channel.batch`, so probabilities are memoized per
     distinct history across trials, rounds and runs.
 ``open-scalar``
@@ -142,11 +147,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channel.batch import _arena_for_run, _run_tokens
+from ..channel.batch import _arena_for_run, _band_edges, _run_tokens
 from ..channel.channel import Channel
 from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
 from ..channel.routing import (
-    ENGINE_OPEN_HISTORY,
+    ENGINE_OPEN_SCALAR,
     ENGINE_OPEN_SCHEDULE,
     select_engine,
 )
@@ -156,6 +161,7 @@ from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
     OBS_SILENCE,
+    BatchSchedule,
     ProtocolError,
     ScheduleExhausted,
     UniformProtocol,
@@ -314,8 +320,8 @@ def _block_rng(lane: _Lane, block: int, stream: int) -> np.random.Generator:
 class _LaneStreams:
     """The run's random streams, drawn lane by lane in absolute blocks.
 
-    The shared half of the engines' stream contract - both vectorized
-    drivers and the scalar oracle consume exactly these blocks.  A member
+    The shared half of the engines' stream contract - the vectorized
+    loop and the scalar oracle consume exactly these blocks.  A member
     running trials ``offset .. offset+trials-1`` touches lanes
     ``offset // 64`` onwards; a lane it covers only in part is drawn up
     to the member's last row there and cut to the member's rows.
@@ -374,25 +380,6 @@ class _LaneStreams:
                 (drawn, width, _U_COLUMNS)
             )[lane.keep]
         return arrival_counts, uniforms
-
-
-def _trichotomy(
-    u: np.ndarray, p: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """Delivered-feedback codes of one round, vectorized across trials.
-
-    The closed engines' band compare extended to ``k = 0``: the silence
-    band is ``(1-p)^k = 1`` there, so idle channels hear silence without
-    a special case (``max(k-1, 0)`` keeps ``0 * 0**-1`` from producing
-    NaN when ``p = 1``).
-    """
-    k_f = k.astype(float)
-    miss = 1.0 - p
-    lo = miss**k_f
-    hi = lo + k_f * p * miss ** np.maximum(k_f - 1.0, 0.0)
-    return np.where(
-        u < lo, FB_SILENCE, np.where(u < hi, FB_SUCCESS, FB_COLLISION)
-    ).astype(np.int64)
 
 
 def _row_ranks(rows: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -866,119 +853,124 @@ class _ScalarLifecycle:
         self.orbit.append((self._round + delay, born, tries + 1))
 
 
-def _run_open_schedule(
-    protocol: UniformProtocol,
-    streams: _LaneStreams,
-    model: ChannelModel | None,
-    rounds: int,
-    warmup: int,
-    capacity: int,
-    timeout: int | None,
-    admission: AdmissionPolicy,
-    split: _RowSplit,
-) -> None:
-    """Vectorized open loop for schedule-publishing protocols."""
-    schedule = protocol.batch_schedule()
-    assert schedule is not None
-    probabilities = np.asarray(schedule.probabilities, dtype=float)
-    length = probabilities.size
+class _EpochWalk:
+    """Schedule probabilities indexed by a per-trial epoch counter."""
 
-    trials = split.rows
-    lifecycle = _BatchLifecycle(capacity, timeout, warmup, admission, split)
-    epoch_round = np.zeros(trials, dtype=np.int64)
+    def __init__(self, schedule: BatchSchedule, trials: int) -> None:
+        self._cycle = schedule.cycle
+        self._probabilities = np.asarray(schedule.probabilities, dtype=float)
+        self._epoch_round = np.zeros(trials, dtype=np.int64)
 
-    fault_state = model.batch_state(trials) if model is not None else None
-
-    arrival_counts = uniforms = None
-    for round_index in range(1, rounds + 1):
-        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
-        if column == 0:
-            arrival_counts, uniforms = streams.refill(round_index, rounds)
-        draws = uniforms[:, column]
-        lifecycle.begin_round(
-            round_index,
-            arrival_counts[:, column],
-            draws[:, _U_ADMISSION],
-            draws[:, _U_RETRY],
-        )
-        occupancy = lifecycle.occupancy
-
+    def probabilities(self) -> np.ndarray:
+        length = self._probabilities.size
         # A one-shot schedule that ran out restarts from the top - the
         # scalar oracle's fresh-session-after-ScheduleExhausted path.
-        if not schedule.cycle:
-            epoch_round[epoch_round >= length] = 0
-        p = probabilities[epoch_round % length]
-        codes = _trichotomy(draws[:, _U_BAND], p, occupancy)
-        if fault_state is not None:
-            codes = fault_state.perturb(round_index, codes, draws[:, _U_FAULT])
+        if not self._cycle:
+            self._epoch_round[self._epoch_round >= length] = 0
+        return self._probabilities[self._epoch_round % length]
 
-        success = (codes == FB_SUCCESS) & (occupancy > 0)
-        if success.any():
-            rows = np.flatnonzero(success)
-            lifecycle.complete(rows, draws[rows, _U_WINNER], round_index)
-            epoch_round[rows] = 0
-        # Contended non-success rows step their epoch (success rows just
-        # reset; their occupancy decrement cannot re-satisfy the mask).
-        epoch_round[~success & (occupancy > 0)] += 1
+    def reset(self, rows: np.ndarray) -> None:
+        self._epoch_round[rows] = 0
 
-        lifecycle.end_round(round_index)
-        epoch_round[lifecycle.occupancy == 0] = 0
-    lifecycle.finish()
+    def advance(
+        self, contended: np.ndarray, codes: np.ndarray, final: bool
+    ) -> None:
+        self._epoch_round[contended] += 1
 
 
-def _run_open_history(
-    protocol: UniformProtocol,
-    streams: _LaneStreams,
-    channel: Channel,
-    model: ChannelModel | None,
-    rounds: int,
-    warmup: int,
-    capacity: int,
-    timeout: int | None,
-    admission: AdmissionPolicy,
-    split: _RowSplit,
-) -> None:
-    """Vectorized open loop for deterministic history-driven protocols."""
-    arena = _arena_for_run()
-    root = arena.root_for(protocol, ("open", next(_run_tokens)))
-    arena.resolve(np.asarray([root]))
-    if arena.exhausted[root]:
-        raise ProtocolError(
-            f"protocol {protocol.name!r} exhausts its schedule before the "
-            "first round; it cannot serve an open system"
-        )
+class _TrieWalk:
+    """History probabilities: per-trial nodes of the shared history trie
+    of :mod:`repro.channel.batch`, memoized per distinct history across
+    trials, rounds and runs."""
 
-    trials = split.rows
-    lifecycle = _BatchLifecycle(capacity, timeout, warmup, admission, split)
-    node = np.full(trials, root, dtype=np.int64)
-    collision_detection = channel.collision_detection
+    def __init__(
+        self, protocol: UniformProtocol, channel: Channel, trials: int
+    ) -> None:
+        self._arena = _arena_for_run()
+        self._root = self._arena.root_for(protocol, ("open", next(_run_tokens)))
+        self._arena.resolve(np.asarray([self._root]))
+        if self._arena.exhausted[self._root]:
+            raise ProtocolError(
+                f"protocol {protocol.name!r} exhausts its schedule before the "
+                "first round; it cannot serve an open system"
+            )
+        self._cd = channel.collision_detection
+        self._node = np.full(trials, self._root, dtype=np.int64)
 
-    fault_state = model.batch_state(trials) if model is not None else None
-
-    arrival_counts = uniforms = None
-    for round_index in range(1, rounds + 1):
-        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
-        if column == 0:
-            arrival_counts, uniforms = streams.refill(round_index, rounds)
-        draws = uniforms[:, column]
-        lifecycle.begin_round(
-            round_index,
-            arrival_counts[:, column],
-            draws[:, _U_ADMISSION],
-            draws[:, _U_RETRY],
-        )
-        occupancy = lifecycle.occupancy
-
-        # Memoized probability per distinct live history; a history whose
-        # one-shot schedule exhausted restarts at the empty history (the
-        # scalar oracle's fresh-session path - the root is known good).
+    def probabilities(self) -> np.ndarray:
+        arena, node = self._arena, self._node
         arena.resolve(np.unique(node))
+        # A history whose one-shot schedule exhausted restarts at the
+        # empty history (the scalar oracle's fresh-session path - the root
+        # is known good).
         if arena.any_exhausted:
             exhausted = arena.exhausted[node]
             if exhausted.any():
-                node[exhausted] = root
-        p = arena.probability[node]
-        codes = _trichotomy(draws[:, _U_BAND], p, occupancy)
+                node[exhausted] = self._root
+        return arena.probability[node]
+
+    def reset(self, rows: np.ndarray) -> None:
+        self._node[rows] = self._root
+
+    def advance(
+        self, contended: np.ndarray, codes: np.ndarray, final: bool
+    ) -> None:
+        if final or not contended.any():
+            return
+        if not self._cd:
+            observed = np.full(int(contended.sum()), OBS_QUIET, dtype=np.int64)
+        else:
+            observed = np.where(
+                codes[contended] == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
+            )
+        self._node[contended] = self._arena.descend(
+            self._node[contended], observed
+        )
+
+
+def _run_open_vectorized(
+    walk: _EpochWalk | _TrieWalk,
+    streams: _LaneStreams,
+    model: ChannelModel | None,
+    rounds: int,
+    warmup: int,
+    capacity: int,
+    timeout: int | None,
+    admission: AdmissionPolicy,
+    split: _RowSplit,
+) -> None:
+    """The one vectorized open loop; ``walk`` chooses the probabilities.
+
+    Per round: the lifecycle's orbit release and admission, one band
+    compare per trial on its backlog at the walk's probability, the fault
+    perturbation, a departure per delivered success (the walk resets to
+    a fresh epoch there), one walk step for every other contended trial,
+    timeout expiry, and a walk reset wherever the backlog drained.
+    """
+    lifecycle = _BatchLifecycle(capacity, timeout, warmup, admission, split)
+    fault_state = model.batch_state(split.rows) if model is not None else None
+
+    arrival_counts = uniforms = None
+    for round_index in range(1, rounds + 1):
+        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
+        if column == 0:
+            arrival_counts, uniforms = streams.refill(round_index, rounds)
+        draws = uniforms[:, column]
+        lifecycle.begin_round(
+            round_index,
+            arrival_counts[:, column],
+            draws[:, _U_ADMISSION],
+            draws[:, _U_RETRY],
+        )
+        occupancy = lifecycle.occupancy
+
+        # The closed engines' band compare; its k = 0 case - an idle
+        # channel - always hears silence.
+        u = draws[:, _U_BAND]
+        lo, hi = _band_edges(walk.probabilities(), occupancy.astype(float))
+        codes = np.where(
+            u < lo, FB_SILENCE, np.where(u < hi, FB_SUCCESS, FB_COLLISION)
+        ).astype(np.int64)
         if fault_state is not None:
             codes = fault_state.perturb(round_index, codes, draws[:, _U_FAULT])
 
@@ -986,19 +978,13 @@ def _run_open_history(
         if success.any():
             rows = np.flatnonzero(success)
             lifecycle.complete(rows, draws[rows, _U_WINNER], round_index)
-            node[rows] = root
-        advance = ~success & (occupancy > 0)
-        if advance.any() and round_index < rounds:
-            if not collision_detection:
-                observed = np.full(int(advance.sum()), OBS_QUIET, dtype=np.int64)
-            else:
-                observed = np.where(
-                    codes[advance] == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
-                )
-            node[advance] = arena.descend(node[advance], observed)
+            walk.reset(rows)
+        # Contended non-success rows step their walk (success rows just
+        # reset; their occupancy decrement cannot re-satisfy the mask).
+        walk.advance(~success & (occupancy > 0), codes, round_index == rounds)
 
         lifecycle.end_round(round_index)
-        node[lifecycle.occupancy == 0] = root
+        walk.reset(lifecycle.occupancy == 0)
     lifecycle.finish()
 
 
@@ -1212,20 +1198,20 @@ def run_open(
 
     streams = _LaneStreams(members, trial_offset)
     split = _RowSplit(members)
-    if engine == ENGINE_OPEN_SCHEDULE:
-        _run_open_schedule(
-            protocol, streams, model, rounds, warmup, capacity, timeout,
-            admission, split,
-        )
-    elif engine == ENGINE_OPEN_HISTORY:
-        _run_open_history(
+    if engine == ENGINE_OPEN_SCALAR:
+        _run_open_scalar(
             protocol, streams, channel, model, rounds, warmup, capacity,
             timeout, admission, split,
         )
     else:
-        _run_open_scalar(
-            protocol, streams, channel, model, rounds, warmup, capacity,
-            timeout, admission, split,
+        walk = (
+            _EpochWalk(protocol.batch_schedule(), split.rows)
+            if engine == ENGINE_OPEN_SCHEDULE
+            else _TrieWalk(protocol, channel, split.rows)
+        )
+        _run_open_vectorized(
+            walk, streams, model, rounds, warmup, capacity, timeout,
+            admission, split,
         )
     for member, store in zip(members, split.stores):
         store.round_slots += member.trials * (rounds - warmup)

@@ -4,6 +4,7 @@ The key cross-validation: the exact solve-time distribution for oblivious
 schedules must agree with the simulation engine's statistics.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.exact import (
@@ -159,6 +160,23 @@ class TestMonteCarloHarness:
             max_rounds=500,
         )
         assert estimate.success.rate == 1.0
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_numpy_integer_is_a_fixed_size(self, nocd_channel, batch):
+        """Any integral type is a fixed ``k``, validated like an int."""
+        estimates = [
+            estimate_uniform_rounds(
+                DecayProtocol(2**8), size, np.random.default_rng(3),
+                channel=nocd_channel, trials=200, max_rounds=500, batch=batch,
+            )
+            for size in (4, np.int64(4))
+        ]
+        assert estimates[0] == estimates[1]
+        with pytest.raises(ValueError, match="fixed size must be >= 1"):
+            estimate_uniform_rounds(
+                DecayProtocol(2**8), np.int64(0), np.random.default_rng(3),
+                channel=nocd_channel, trials=10, max_rounds=10, batch=batch,
+            )
 
     def test_factory_protocol(self, rng, nocd_channel):
         estimate = estimate_uniform_rounds(
