@@ -31,6 +31,7 @@ from .network import (
     validate_participants,
 )
 from .batch import (
+    history_arena_stats,
     is_batchable,
     run_history_stacked,
     run_schedule_stacked,
@@ -75,6 +76,7 @@ __all__ = [
     "run_schedule_stacked",
     "run_history_stacked",
     "is_batchable",
+    "history_arena_stats",
     "run_players",
     "run_players_batch",
     "run_players_stacked",

@@ -51,16 +51,20 @@ is amortized across the whole stack.  The walk supplies the rest:
   deterministic function of that history (Section 2.1) - so two trials
   with identical histories use identical probabilities until their
   histories diverge.  Each live trial carries an integer node id into a
-  **history trie** (:class:`_HistoryArena`) memoizing the history ->
-  probability function: a round costs one memoized
-  ``next_probability()`` per *distinct history ever seen* (one session
-  fork per trie node, amortized over all trials, rounds and stacked
-  points), band edges from a per-round ``(node, k)`` cache, and one
-  ``np.unique``-compacted child gather that moves every survivor down
-  its observed branch.  Points sharing a
-  :meth:`~repro.core.protocol.UniformProtocol.history_signature` share
-  one trie.  On a no-CD channel every observation is ``QUIET``, so the
-  trie is a single path; a cycling schedule walked this way gives
+  **history DAG** (:class:`_HistoryArena`) memoizing the history ->
+  probability function.  Histories that leave the session in the same
+  state (:meth:`~repro.core.protocol.UniformSession.state_key`: for the
+  phased search, the search position and vote tally) share one node, so
+  a round costs one memoized ``next_probability()`` per *distinct
+  session state ever seen* (one session fork per node, amortized over
+  all trials, rounds and stacked points) even when noise or jamming
+  makes every trial's history unique; sessions that name no state get
+  one node per distinct history, a plain trie.  Band edges come from a
+  per-round ``(node, k)`` cache, and one ``np.unique``-compacted child
+  gather moves every survivor along its observed edge.  Points sharing
+  a :meth:`~repro.core.protocol.UniformProtocol.history_signature`
+  share one DAG.  On a no-CD channel every observation is ``QUIET``, so
+  the trie is a single path; a cycling schedule walked this way gives
   results bit-identical to its schedule walk.
 
 Both match the scalar engine's termination conventions exactly: a trial
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -98,6 +102,7 @@ __all__ = [
     "run_schedule_stacked",
     "run_history_stacked",
     "is_batchable",
+    "history_arena_stats",
 ]
 
 
@@ -304,7 +309,7 @@ class _LiveRows:
     distinct ``(point, k)`` pair: ``combo_point`` and float ``combo_ks``),
     ``buffer_row`` (its row of the current draw block), ``ks`` (the
     participant count, kept only for population-shrinking models) and
-    ``node`` (its history-trie node, kept only by the history walk).
+    ``node`` (its history-arena node, kept only by the history walk).
     :meth:`keep` filters all of them, and the fault state, at once.
     """
 
@@ -368,7 +373,7 @@ def _run_stacked(
        *after* the faithful outcome, consuming its own pre-drawn
        uniform, and a row retires on the *delivered* success;
     4. ``walk.observe`` / ``walk.descend``: the survivors' observations
-       move the history walk down its trie.
+       move the history walk along its DAG.
 
     Survivors are right-censored at their point's horizon (the budget,
     or a one-shot schedule's length), matching the scalar engine's
@@ -574,7 +579,7 @@ def run_schedule_stacked(
     )
 
 
-#: Observation-code -> enum for trie child expansion.  Indices match the
+#: Observation-code -> enum for child expansion.  Indices match the
 #: :data:`~repro.core.protocol.OBS_QUIET` / ``OBS_SILENCE`` /
 #: ``OBS_COLLISION`` codes the player batch engine already uses.
 _OBSERVATION_OF = {
@@ -585,19 +590,24 @@ _OBSERVATION_OF = {
 
 
 class _HistoryArena:
-    """Node store of every distinct observation history of a stacked run.
+    """Node store of every distinct session state of a stacked run.
 
-    A forest of history tries over one flat node space: each root is the
+    A forest of history DAGs over one flat node space: each root is the
     empty history of one protocol behaviour (keyed by
     :meth:`~repro.core.protocol.UniformProtocol.history_signature`, so
     same-spec points share a root and hence every descendant), and node
-    ``child[v][code]`` is the history ``v`` extended by the observation
-    ``code``.  Per node the arena memoizes the protocol's response - the
-    next-round probability, or schedule exhaustion - computed from a
-    representative session forked once when the node is created.  All
-    per-node attributes live in flat NumPy arrays so the round loop can
-    gather them for thousands of trials at once; capacity doubles as
-    nodes are added.
+    ``child[v][code]`` is the state reached from ``v`` by the
+    observation ``code``.  Sessions that name their state
+    (:meth:`~repro.core.protocol.UniformSession.state_key`) get one node
+    per ``(root, state)``: histories that lead to the same state - the
+    common case once noise or jamming makes every trial's history
+    unique - share it.  Sessions without a key get one node per
+    distinct history, a plain trie.  Per node the arena memoizes the
+    protocol's response - the next-round probability, or schedule
+    exhaustion - computed from a representative session forked once
+    when the node is created.  All per-node attributes the round loop
+    gathers live in flat NumPy arrays; capacity doubles as nodes are
+    added.
     """
 
     def __init__(self) -> None:
@@ -607,14 +617,22 @@ class _HistoryArena:
         self.child = np.full((capacity, 3), -1, dtype=np.int64)
         self._resolved = np.zeros(capacity, dtype=bool)
         self._sessions: list[UniformSession | None] = [None] * capacity
+        self._root_of: list[int] = []  # per node, appended on creation
         self._roots: dict[object, int] = {}
+        self._by_state: dict[tuple[int, Hashable], int] = {}
         self.count = 0
+        #: Forks folded into an existing node with the same state.
+        self.merged = 0
         #: Whether any resolved history has exhausted its schedule; the
         #: round loop skips the per-trial give-up scan while this is
         #: False (cycling protocols never set it).
         self.any_exhausted = False
 
-    def _new_node(self, session: UniformSession) -> int:
+    def _new_node(
+        self, session: UniformSession, root: int | None, state: Hashable | None
+    ) -> int:
+        """Store ``session`` as a new node of ``root`` (``None``: a new
+        root), registered under its ``state`` key when it has one."""
         if self.count == self.probability.size:
             grow = self.count
             self.probability = np.concatenate(
@@ -631,7 +649,11 @@ class _HistoryArena:
             )
             self._sessions.extend([None] * grow)
         node = self.count
+        root = node if root is None else root
         self._sessions[node] = session
+        self._root_of.append(root)
+        if state is not None:
+            self._by_state[(root, state)] = node
         self.count += 1
         return node
 
@@ -639,7 +661,7 @@ class _HistoryArena:
         """The empty-history node of ``protocol``, shared where provable.
 
         Protocols publishing equal ``history_signature()``s share one
-        root (and so one memoized trie) - across the points of a stacked
+        root (and so one memoized DAG) - across the points of a stacked
         run *and* across runs, since the arena is shared per thread;
         unsigned protocols get a private root under ``private_key``
         (unique per run and point, so nothing is ever wrongly reused).
@@ -649,18 +671,19 @@ class _HistoryArena:
             key = private_key
         node = self._roots.get(key)
         if node is None:
-            node = self._new_node(protocol.session())
+            session = protocol.session()
+            node = self._new_node(session, None, session.state_key())
             self._roots[key] = node
         return node
 
     def resolve(self, nodes: np.ndarray) -> None:
         """Memoize the next-round probability of each node in ``nodes``.
 
-        One ``next_probability()`` call per distinct history, ever: a
-        node revisited by later trials, points or (trie-sharing) runs is
-        a pure array lookup.  :class:`ScheduleExhausted` is memoized
-        too - a one-shot give-up is a property of the history, not of
-        the trial that first reached it.
+        One ``next_probability()`` call per node, ever: a node revisited
+        by later trials, points or (DAG-sharing) runs is a pure array
+        lookup.  :class:`ScheduleExhausted` is memoized too - a one-shot
+        give-up is a property of the session state, not of the trial
+        that first reached it.
         """
         for node in nodes[~self._resolved[nodes]]:
             session = self._sessions[node]
@@ -673,29 +696,39 @@ class _HistoryArena:
             self._resolved[node] = True
 
     def descend(self, nodes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Child node per ``(node, code)`` pair, expanding the trie lazily.
+        """Child node per ``(node, code)`` pair, expanding the DAG lazily.
 
         Missing children cost one session fork + ``observe()`` per
-        *distinct* pair (``np.unique``-compacted), then every trial's
-        descent is a single fancy-indexed gather - the array analogue of
-        the old per-group split, without per-round ``fork()`` copies.
+        *distinct* pair (``np.unique``-compacted); a fork whose state
+        key is already a node of the same root links to that node and
+        is dropped.  Then every trial's descent is a single
+        fancy-indexed gather.
         """
         found = self.child[nodes, codes]
         missing = found < 0
         if missing.any():
             keys = np.unique(nodes[missing] * 3 + codes[missing])
             for key in keys:
-                node, code = int(key) // 3, int(key) % 3
+                node, code = divmod(int(key), 3)
                 parent = self._sessions[node]
                 assert parent is not None
                 session = parent.fork()
                 session.observe(_OBSERVATION_OF[code])
-                self.child[node, code] = self._new_node(session)
+                root = self._root_of[node]
+                state = session.state_key()
+                child = (
+                    None if state is None else self._by_state.get((root, state))
+                )
+                if child is None:
+                    child = self._new_node(session, root, state)
+                else:
+                    self.merged += 1
+                self.child[node, code] = child
             found = self.child[nodes, codes]
         return found
 
 
-#: Node budget of the shared arena.  The memoized tries are a cache:
+#: Node budget of the shared arena.  The memoized DAGs are a cache:
 #: once the arena exceeds this many nodes a fresh one replaces it at the
 #: next run's start (never mid-run - live node ids must stay valid),
 #: bounding resident memory while keeping the steady-state case - many
@@ -706,7 +739,7 @@ _SHARED_ARENA_NODE_BUDGET = 100_000
 #: The arena is shared across runs but *per thread* (``threading.local``):
 #: arena mutation (node allocation, array growth) is not synchronized, and
 #: the run-local engine this replaced was safe to call from threads - a
-#: property worth keeping for embedders, at the cost of one warm trie per
+#: property worth keeping for embedders, at the cost of one warm DAG per
 #: thread.  Process pools are unaffected (each worker has its own module
 #: state).
 _run_state = threading.local()
@@ -716,9 +749,27 @@ _run_tokens = itertools.count()
 def _arena_for_run() -> _HistoryArena:
     arena = getattr(_run_state, "arena", None)
     if arena is None or arena.count > _SHARED_ARENA_NODE_BUDGET:
+        if arena is not None:
+            _run_state.resets = getattr(_run_state, "resets", 0) + 1
         arena = _HistoryArena()
         _run_state.arena = arena
     return arena
+
+
+def history_arena_stats() -> dict[str, int]:
+    """Counters of this thread's shared history arena.
+
+    ``nodes`` and ``merged`` (forks folded into an existing node with
+    the same state) describe the live arena; ``resets`` counts the
+    arenas replaced for outgrowing :data:`_SHARED_ARENA_NODE_BUDGET`
+    since the thread started.
+    """
+    arena = getattr(_run_state, "arena", None)
+    return {
+        "nodes": 0 if arena is None else arena.count,
+        "merged": 0 if arena is None else arena.merged,
+        "resets": getattr(_run_state, "resets", 0),
+    }
 
 
 def _reset_shared_arena() -> None:
@@ -727,14 +778,14 @@ def _reset_shared_arena() -> None:
 
 
 class _HistoryWalk:
-    """Probabilities memoized per distinct observation history.
+    """Probabilities memoized per distinct session state (or history).
 
-    Each row carries a node of the shared history-trie arena
+    Each row carries a node of the shared history arena
     (:attr:`_LiveRows.node`).  A round resolves the distinct live
     ``(node, k)`` pairs once - one sort yields the distinct pairs and,
-    via their quotients, the distinct nodes - retires rows whose history
+    via their quotients, the distinct nodes - retires rows whose node
     exhausted its schedule, gathers band edges per pair, and moves the
-    survivors to their observed child histories.
+    survivors to their observed child nodes.
     """
 
     def __init__(
@@ -826,10 +877,12 @@ def run_history_stacked(
     (typically feedback-driven - Willard/phased search, history
     policies), and entry ``j`` of the result is **bit-identical** to
     ``run_uniform_batch`` on that point alone.  Each live trial carries
-    a node id into the shared history-trie arena; a round is
+    a node id into the shared history arena; a round is
 
-    1. one memoized ``next_probability()`` per distinct live history
-       (shared across trials, across points with equal
+    1. one memoized ``next_probability()`` per distinct live node -
+       one per session state, or per history for sessions without a
+       :meth:`~repro.core.protocol.UniformSession.state_key` - (shared
+       across trials, across points with equal
        ``history_signature()``s, and - the arena being shared per
        thread under a node budget - across whole runs; results are
        bit-identical warm or cold);
@@ -841,8 +894,8 @@ def run_history_stacked(
        the same stream contract as the schedule walk) compared against
        ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges gathered
        from a ``(node, k)``-unique band cache;
-    4. a ``np.unique``-compacted trie descent moving every surviving
-       trial to its observed child history.
+    4. a ``np.unique``-compacted DAG descent moving every surviving
+       trial to its observed child node.
 
     The trichotomy bands make the round distribution-exact (engines only
     ever observe silence / success / collision; module docstring).

@@ -22,6 +22,7 @@ leakage.
 from __future__ import annotations
 
 import abc
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -112,15 +113,31 @@ class UniformSession(abc.ABC):
     def fork(self) -> "UniformSession":
         """An independent copy that continues from the same state.
 
-        The batch engine forks a group's representative session when its
-        trials' observation histories diverge (collision vs silence).  The
-        default deep copy is always safe; sessions whose mutable state is
-        all scalars/immutables override with a shallow copy to keep group
-        splits cheap.
+        The history engine forks a node's representative session to
+        extend it by one observation - once per new session *state*
+        where :meth:`state_key` names one, else once per distinct
+        observation history.  The default deep copy is always safe;
+        sessions whose mutable state is all scalars/immutables override
+        with a shallow copy to keep those forks cheap.
         """
         import copy
 
         return copy.deepcopy(self)
+
+    def state_key(self) -> Hashable | None:
+        """Hashable summary of the session's behaviour-relevant state.
+
+        Taken after :meth:`observe` and before :meth:`next_probability`
+        (or on a fresh session).  The contract: two sessions of the same
+        protocol whose keys are equal give identical probabilities and
+        identical :class:`ScheduleExhausted` responses to every later
+        observation sequence.  The history engine then merges the two
+        histories into one node, so randomized channels (noise,
+        jamming) that make every trial's history unique still share a
+        small memo.  The default ``None`` claims nothing: every distinct
+        history keeps its own node.
+        """
+        return None
 
     @abc.abstractmethod
     def next_probability(self) -> float:
@@ -191,16 +208,18 @@ class UniformProtocol(abc.ABC):
         (:func:`repro.channel.batch.run_history_stacked`): a uniform
         protocol with deterministic sessions is a function from
         observation histories to probabilities (Section 2.1), so the
-        engine memoizes that function in a history trie - one
-        ``next_probability()`` call and one session fork per *distinct
-        history ever seen*.  Two protocols returning equal non-``None``
-        signatures promise interchangeable sessions (identical
-        probability / exhaustion responses to every observation
-        sequence), letting a stacked run share a single trie across all
-        scenario points with the same protocol spec.  The default
-        ``None`` claims nothing: the point still runs on the history
-        engine, it just keeps a private trie.  Protocols whose sessions
-        are not deterministic must leave this ``None``.
+        engine memoizes that function in a history DAG - one
+        ``next_probability()`` call per node, one node per distinct
+        session state (:meth:`UniformSession.state_key`), or per
+        distinct history for sessions that name no state.  Two
+        protocols returning equal non-``None`` signatures promise
+        interchangeable sessions (identical probability / exhaustion
+        responses to every observation sequence), letting a stacked run
+        share a single DAG across all scenario points with the same
+        protocol spec.  The default ``None`` claims nothing: the point
+        still runs on the history engine, it just keeps a private DAG.
+        Protocols whose sessions are not deterministic must leave this
+        ``None``.
         """
         return None
 

@@ -119,9 +119,9 @@ every other contended round):
     probability is an array lookup on a per-trial epoch counter.
 ``open-history``
     Deterministic feedback-driven (CD) protocols (:class:`_TrieWalk`):
-    each trial carries a node id into the shared history-trie arena of
+    each trial carries a node id into the shared history arena of
     :mod:`repro.channel.batch`, so probabilities are memoized per
-    distinct history across trials, rounds and runs.
+    distinct session state (or history) across trials, rounds and runs.
 ``open-scalar``
     The correctness oracle: a per-trial Python loop driving real
     protocol sessions and a plain-list request lifecycle through the
@@ -879,9 +879,9 @@ class _EpochWalk:
 
 
 class _TrieWalk:
-    """History probabilities: per-trial nodes of the shared history trie
-    of :mod:`repro.channel.batch`, memoized per distinct history across
-    trials, rounds and runs."""
+    """History probabilities: per-trial nodes of the shared history DAG
+    of :mod:`repro.channel.batch`, memoized per distinct session state
+    (or history) across trials, rounds and runs."""
 
     def __init__(
         self, protocol: UniformProtocol, channel: Channel, trials: int

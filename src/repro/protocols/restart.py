@@ -21,7 +21,7 @@ experiments:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class _RestartSession(UniformSession):
 
     def observe(self, observation: Observation) -> None:
         self._inner.observe(observation)
+
+    def state_key(self) -> Hashable | None:
+        # Every attempt starts from the same factory, so the inner
+        # session's state is the whole state; ``attempts`` only counts.
+        return self._inner.state_key()
 
 
 class RestartProtocol(UniformProtocol):

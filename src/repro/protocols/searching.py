@@ -120,11 +120,29 @@ class PhasedSearchSession(UniformSession):
                 self._hi = self._mid - 1
             self._mid = None
 
+    def state_key(self) -> tuple:
+        """Every field that steers later behaviour.
+
+        The phases, repetitions and restart flag are fixed per protocol
+        (one history root covers them), so the search position and the
+        vote tally are the whole state.
+        """
+        return (
+            self._k1_round_pending,
+            self._awaiting_k1_observation,
+            self._phase_index,
+            self._lo,
+            self._hi,
+            self._mid,
+            self._votes_cast,
+            self._collision_votes,
+        )
+
     def fork(self) -> "PhasedSearchSession":
         # Mutable state is all ints/bools; the phase lists are never
         # mutated after validation, so sharing them across forks is safe.
-        # The batch history engine forks once per distinct collision
-        # history, so this skips copy.copy's reduce protocol entirely.
+        # The batch history engine forks once per new session state, so
+        # this skips copy.copy's reduce protocol entirely.
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         return clone

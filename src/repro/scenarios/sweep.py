@@ -493,12 +493,12 @@ def fusion_key(resolved: ResolvedScenario) -> tuple | None:
     * **history points** - uniform protocols routed to the batch history
       engine (feedback-driven, deterministic sessions: Willard, code
       search, phased search, history policies).  The stacked engine
-      keeps per-point protocols and a shared history-trie arena, so
+      keeps per-point protocols and a shared history arena, so
       protocol params, workloads, predictions and seeds all sweep
       freely; as for schedule points, only trials, round budget and
       channel must agree.  Points with equal
       :meth:`~repro.core.protocol.UniformProtocol.history_signature`\\ s
-      additionally share one memoized trie inside the run.
+      additionally share one memoized DAG inside the run.
     * **player points** - player protocols routed to the batch player
       engine whose sessions are randomness-free
       (:meth:`~repro.core.protocol.PlayerProtocol.supports_fused_sessions`).

@@ -26,6 +26,7 @@ is the resolved workload distribution itself.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Callable, Mapping
 
 from ..channel.arrivals import MarkovBurstArrivals, TraceArrivals
@@ -215,8 +216,8 @@ def resolve_workload(spec: WorkloadSpec, n: int):
 
 def workload_label(source) -> str:
     """Human-readable workload identity for result metadata."""
-    if isinstance(source, int):
-        return f"fixed(k={source})"
+    if isinstance(source, numbers.Integral):
+        return f"fixed(k={int(source)})"
     return getattr(source, "name", type(source).__name__)
 
 

@@ -1132,21 +1132,30 @@ class TestAdaptiveAgreement:
         assert (solo.solved == stacked.solved).all()
         assert (solo.rounds == stacked.rounds).all()
 
-    def test_adaptive_statistics_agree_with_scalar(self, nocd_channel):
+    @pytest.mark.parametrize(
+        "make_protocol,cd",
+        [
+            (lambda: DecayProtocol(N), False),
+            (lambda: WillardProtocol(N), True),
+        ],
+    )
+    def test_adaptive_statistics_agree_with_scalar(
+        self, make_protocol, cd, nocd_channel, cd_channel
+    ):
         """Fixed-seed statistical agreement between the scalar reference
         loop and the batch engine with the adaptive adversary in the
         middle: the strategies are deterministic, so the two paths
         simulate the same perturbed process."""
         model = AdaptiveAdversary(budget=6, strategy="greedy")
-        channel = nocd_channel.with_model(model)
+        channel = (cd_channel if cd else nocd_channel).with_model(model)
         trials, max_rounds = 1500, 400
         ks = _sizes(np.random.default_rng(7), trials)
 
         scalar_solved, scalar_rounds = _scalar_stats(
-            lambda: DecayProtocol(N), ks, channel, max_rounds, seed=11
+            make_protocol, ks, channel, max_rounds, seed=11
         )
         batch = run_uniform_batch(
-            DecayProtocol(N), ks, np.random.default_rng(13),
+            make_protocol(), ks, np.random.default_rng(13),
             channel=channel, max_rounds=max_rounds,
         )
         assert batch.solved.mean() == pytest.approx(

@@ -12,6 +12,7 @@ from repro.channel.routing import (
 )
 from repro.scenarios import ScenarioResult, ScenarioSpec, run_scenario
 from repro.scenarios.spec import ScenarioError
+from repro.scenarios.workloads import workload_label
 
 
 def spec_dict(**overrides) -> dict:
@@ -119,6 +120,10 @@ class TestWorkloads:
     def test_trace_workload(self):
         result = run(workload={"kind": "trace", "params": {"ks": [4, 9, 17]}})
         assert result.success.rate > 0.9
+
+    @pytest.mark.parametrize("k", [4, np.int64(4), np.int32(4), np.uint8(4)])
+    def test_fixed_label_accepts_any_integral(self, k):
+        assert workload_label(k) == "fixed(k=4)"
 
     def test_unknown_family_and_kind(self):
         with pytest.raises(ScenarioError, match="family"):

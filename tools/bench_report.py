@@ -46,6 +46,7 @@ from repro.channel import (
     AdaptiveAdversary,
     NoisyChannel,
     ObliviousJammer,
+    history_arena_stats,
     with_collision_detection,
     without_collision_detection,
 )
@@ -260,10 +261,17 @@ def history_bench(cd_willard: dict, repeats: int) -> dict:
     ``cd_willard`` is the solo batch-vs-scalar measurement already taken
     for the ``measurements`` section (same workload as the >= 8x gate in
     ``benchmarks/test_bench_history.py``); the fused half times the
-    dense CD grid (>= 3x gate) against the point-serial executor.
+    dense CD grid (>= 3x gate) against the point-serial executor.  The
+    ``arena`` counters are those the first fused grid run adds to the
+    history arena (no earlier section runs these protocol specs): the
+    nodes it allocates and the forks it merges into an existing node
+    with the same session state.
     """
     sweep = cd_grid_sweep()
+    before = history_arena_stats()
     run_sweep(sweep, executor="fused")  # warm caches: steady-state timing
+    after = history_arena_stats()
+    arena = {name: after[name] - before[name] for name in ("nodes", "merged")}
     serial_seconds = _median_seconds(
         lambda: run_sweep(sweep, executor="serial"), repeats
     )
@@ -279,6 +287,7 @@ def history_bench(cd_willard: dict, repeats: int) -> dict:
             "serial_seconds": round(serial_seconds, 6),
             "fused_seconds": round(fused_seconds, 6),
             "speedup": round(serial_seconds / fused_seconds, 2),
+            "arena": arena,
         },
     }
 
@@ -384,10 +393,11 @@ def adversary_adaptive(trials: int, repeats: int) -> dict:
 
     Mirrors :func:`adversary_bench` with the full-information
     ``jam-adaptive`` model.  An adaptive run is longer *by design* - the
-    adversary buys extra rounds with every jam, and on the history
-    engine greedy jamming also grows the memoized trie (each forced
-    collision opens a fresh history branch), which is real extra work,
-    not injection overhead.  The gate in
+    adversary buys extra rounds with every jam, which is real extra
+    work, not injection overhead.  (The history engine's memo does not
+    grow with the jams: it holds one node per session state, so its node
+    count stays within Willard's state space however the adversary
+    steers the histories.)  The gate in
     ``benchmarks/test_bench_adversary.py`` therefore holds the adaptive
     batch within 3x of the faithful batch on each engine's
     representative strategy (greedy on the schedule engine, the
@@ -714,7 +724,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"history_engine/cd_grid: serial={cd_grid['serial_seconds']:.3f}s "
         f"fused={cd_grid['fused_seconds']:.3f}s "
-        f"speedup={cd_grid['speedup']}x ({cd_grid['points']} points)"
+        f"speedup={cd_grid['speedup']}x ({cd_grid['points']} points, "
+        f"{cd_grid['arena']['nodes']} arena nodes, "
+        f"{cd_grid['arena']['merged']} merged)"
     )
     if sweep_executor.get("skipped"):
         print(
